@@ -88,11 +88,8 @@ def naive_verify(items) -> bool:
         sig_point = item.signature.point
         if not suite.subgroup_check(sig_point):
             return False
-        lhs = suite.pair(suite.generator_g1, sig_point)
-        rhs = suite.identity_gt()
-        for pk, message in item.pairs:
-            rhs = rhs * suite.pair(pk.point, suite.hash_to_group2(message))
-        if lhs != rhs:
+        rhs = [(pk.point, suite.hash_to_group2(message)) for pk, message in item.pairs]
+        if not suite.pairing_check([(suite.generator_g1, sig_point)], rhs):
             return False
     return True
 
@@ -102,7 +99,8 @@ def batch_verify(items, coeffs: BatchCoefficients, *, enforce_subgroup: bool = T
 
     Computes S* = sum(r_i * S_i) and compares e(G, S*) against the double
     product over coefficient-scaled hashed messages; costs 1 + sum(m_i)
-    pairings, n - 1 fewer than the naive check.
+    pairings, n - 1 fewer than the naive check. Keys are not
+    subgroup-checked again: a :class:`BatchItem` holds validated keys only.
     """
     items = list(items)
     if not items:
@@ -117,20 +115,16 @@ def batch_verify(items, coeffs: BatchCoefficients, *, enforce_subgroup: bool = T
         for item in items:
             if not suite.subgroup_check(item.signature.point):
                 return False
-            for pk, _ in item.pairs:
-                if not suite.subgroup_check(pk.point):
-                    return False
     s_star = None
     for item, r_i in zip(items, coeffs.values):
         term = r_i * item.signature.point
         s_star = term if s_star is None else s_star + term
-    lhs = suite.pair(suite.generator_g1, s_star)
-    rhs = suite.identity_gt()
-    for item, r_i in zip(items, coeffs.values):
-        for pk, message in item.pairs:
-            scaled = r_i * suite.hash_to_group2(message)
-            rhs = rhs * suite.pair(pk.point, scaled)
-    return lhs == rhs
+    rhs = [
+        (pk.point, r_i * suite.hash_to_group2(message))
+        for item, r_i in zip(items, coeffs.values)
+        for pk, message in item.pairs
+    ]
+    return suite.pairing_check([(suite.generator_g1, s_star)], rhs)
 
 
 # ---------------------------------------------------------------------------

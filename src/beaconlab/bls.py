@@ -10,7 +10,6 @@ empty aggregations, undersized key material) raises instead.
 from __future__ import annotations
 
 import hashlib
-import hmac
 from dataclasses import dataclass
 
 from .errors import (
@@ -22,6 +21,7 @@ from .errors import (
     InvalidPoint,
     NotInSubgroup,
 )
+from .kdf import hkdf_sha256
 from .suites import Group2Element, PairingSuite
 
 KEYGEN_SALT = b"BLS-SIG-KEYGEN-SALT-"
@@ -97,21 +97,6 @@ def _invalid(reason):
 # ---------------------------------------------------------------------------
 
 
-def _hkdf_extract(salt, ikm):
-    return hmac.new(salt, ikm, hashlib.sha256).digest()
-
-
-def _hkdf_expand(prk, info, length):
-    out = b""
-    block = b""
-    counter = 1
-    while len(out) < length:
-        block = hmac.new(prk, block + info + counter.to_bytes(1, "big"), hashlib.sha256).digest()
-        out += block
-        counter += 1
-    return out[:length]
-
-
 def keygen(ikm: bytes, key_info: bytes = b"", *, suite: PairingSuite) -> SecretKey:
     """Derive a secret key from input key material via the IETF
     BLS-signature HKDF loop (salt rehashed until SK is nonzero)."""
@@ -123,8 +108,7 @@ def keygen(ikm: bytes, key_info: bytes = b"", *, suite: PairingSuite) -> SecretK
     sk = 0
     while sk == 0:
         salt = hashlib.sha256(salt).digest()
-        prk = _hkdf_extract(salt, ikm + b"\x00")
-        okm = _hkdf_expand(prk, key_info + length.to_bytes(2, "big"), length)
+        okm = hkdf_sha256(salt, ikm + b"\x00", key_info + length.to_bytes(2, "big"), length)
         sk = int.from_bytes(okm, "big") % r
     return SecretKey(sk, suite)
 
@@ -159,38 +143,60 @@ def sign(sk: SecretKey, message: bytes) -> BlsSignature:
     return BlsSignature(sk.scalar * h)
 
 
-def _decode_signature(sig, suite):
-    if isinstance(sig, BlsSignature):
-        return sig.point
-    if isinstance(sig, Group2Element):
-        return sig
-    return suite.g2_from_bytes(sig)
+def _signature_point(sig, suite):
+    """Decode a signature or proof of possession and check that it lies in
+    the order-r subgroup of G2: the point, or the reason it is rejected."""
+    if isinstance(sig, (BlsSignature, ProofOfPossession)):
+        sig = sig.point
+    if not isinstance(sig, Group2Element):
+        try:
+            sig = suite.g2_from_bytes(sig)
+        except InvalidPoint:
+            return "signature-encoding"
+    if not suite.subgroup_check(sig):
+        return "signature-subgroup"
+    return sig
+
+
+def _key_point(pk, suite):
+    """KeyValidate a public key unless it already was: the point, or the
+    reason it is rejected."""
+    if pk.validated:
+        return pk.point
+    try:
+        return key_validate(pk, suite=suite).point
+    except InvalidEncoding:
+        return "key-encoding"
+    except IdentityPoint:
+        return "key-identity"
+    except NotInSubgroup:
+        return "key-subgroup"
+
+
+def _pairing_verify(suite, lhs, sig_point):
+    """The BLS equation: prod e(PK_i, H(m_i)) over ``lhs`` == e(G1, S)."""
+    if suite.pairing_check(lhs, [(suite.generator_g1, sig_point)]):
+        return VALID
+    return _invalid("pairing-mismatch")
+
+
+def _verify_one(pk, message, sig, dst):
+    """The body of core_verify and pop_verify, which differ only in the
+    message and the DST."""
+    suite = pk.suite
+    sig_point = _signature_point(sig, suite)
+    if isinstance(sig_point, str):
+        return _invalid(sig_point)
+    key_point = _key_point(pk, suite)
+    if isinstance(key_point, str):
+        return _invalid(key_point)
+    return _pairing_verify(suite, [(key_point, suite.hash_to_group2(message, dst))], sig_point)
 
 
 def core_verify(pk: PublicKey, message: bytes, sig) -> VerifyResult:
     """Signature verification with every check of the core algorithm,
     each failure reported distinctly."""
-    suite = pk.suite
-    try:
-        r_point = _decode_signature(sig, suite)
-    except InvalidPoint:
-        return _invalid("signature-encoding")
-    if not suite.subgroup_check(r_point):
-        return _invalid("signature-subgroup")
-    try:
-        pk = pk if pk.validated else key_validate(pk, suite=suite)
-    except InvalidEncoding:
-        return _invalid("key-encoding")
-    except IdentityPoint:
-        return _invalid("key-identity")
-    except NotInSubgroup:
-        return _invalid("key-subgroup")
-    q = suite.hash_to_group2(message)
-    c1 = suite.pair(pk.point, q)
-    c2 = suite.pair(suite.generator_g1, r_point)
-    if c1 == c2:
-        return VALID
-    return _invalid("pairing-mismatch")
+    return _verify_one(pk, message, sig, pk.suite.dst)
 
 
 # ---------------------------------------------------------------------------
@@ -215,11 +221,7 @@ def aggregate_public_keys(pks) -> PublicKey:
     acc = pks[0].point
     for pk in pks[1:]:
         acc = acc + pk.point
-    return PublicKey(acc, validated=all(pk.validated for pk in pks))
-
-
-def _validated(pk, suite):
-    return pk if pk.validated else key_validate(pk, suite=suite)
+    return PublicKey(acc)
 
 
 def aggregate_verify(pks, messages, sig, *, require_distinct_keys=False) -> VerifyResult:
@@ -233,22 +235,14 @@ def aggregate_verify(pks, messages, sig, *, require_distinct_keys=False) -> Veri
     if require_distinct_keys and len({pk.to_bytes() for pk in pks}) != len(pks):
         return _invalid("duplicate-keys")
     suite = pks[0].suite
-    try:
-        sig_point = _decode_signature(sig, suite)
-    except InvalidPoint:
-        return _invalid("signature-encoding")
-    if not suite.subgroup_check(sig_point):
-        return _invalid("signature-subgroup")
-    acc = suite.identity_gt()
-    for pk, message in zip(pks, messages):
-        try:
-            pk = _validated(pk, suite)
-        except (InvalidEncoding, IdentityPoint, NotInSubgroup):
-            return _invalid("key-invalid")
-        acc = acc * suite.pair(pk.point, suite.hash_to_group2(message))
-    if acc == suite.pair(suite.generator_g1, sig_point):
-        return VALID
-    return _invalid("pairing-mismatch")
+    sig_point = _signature_point(sig, suite)
+    if isinstance(sig_point, str):
+        return _invalid(sig_point)
+    key_points = [_key_point(pk, suite) for pk in pks]
+    if any(isinstance(point, str) for point in key_points):
+        return _invalid("key-invalid")
+    lhs = [(point, suite.hash_to_group2(m)) for point, m in zip(key_points, messages)]
+    return _pairing_verify(suite, lhs, sig_point)
 
 
 def unsafe_fast_aggregate_verify(pks, message, sig, *, require_distinct_keys=False) -> VerifyResult:
@@ -256,25 +250,16 @@ def unsafe_fast_aggregate_verify(pks, message, sig, *, require_distinct_keys=Fal
 
     Vulnerable to rogue-key forgeries by construction; exists only so the
     attack demonstrations have a target. Never use for real validation.
+    As in the IETF draft, this is core verification under the aggregate
+    key, whose KeyValidate rejects an identity aggregate such as
+    {PK, -PK}.
     """
     pks = list(pks)
     if not pks:
         raise ArityMismatch("empty verification set")
     if require_distinct_keys and len({pk.to_bytes() for pk in pks}) != len(pks):
         return _invalid("duplicate-keys")
-    suite = pks[0].suite
-    try:
-        sig_point = _decode_signature(sig, suite)
-    except InvalidPoint:
-        return _invalid("signature-encoding")
-    if not suite.subgroup_check(sig_point):
-        return _invalid("signature-subgroup")
-    agg_pk = pks[0].point
-    for pk in pks[1:]:
-        agg_pk = agg_pk + pk.point
-    c1 = suite.pair(agg_pk, suite.hash_to_group2(message))
-    c2 = suite.pair(suite.generator_g1, sig_point)
-    return VALID if c1 == c2 else _invalid("pairing-mismatch")
+    return core_verify(aggregate_public_keys(pks), message, sig)
 
 
 def fast_aggregate_verify(pks, pops, message, sig, *, require_distinct_keys=False) -> VerifyResult:
@@ -304,19 +289,9 @@ def pop_prove(sk: SecretKey) -> ProofOfPossession:
 
 
 def pop_verify(pk: PublicKey, pop: ProofOfPossession) -> bool:
-    suite = pk.suite
-    try:
-        pop_point = pop.point if isinstance(pop, ProofOfPossession) else suite.g2_from_bytes(pop)
-    except InvalidPoint:
-        return False
-    if not suite.subgroup_check(pop_point):
-        return False
-    try:
-        pk = _validated(pk, suite)
-    except (InvalidEncoding, IdentityPoint, NotInSubgroup):
-        return False
-    h = suite.hash_to_group2(pk.to_bytes(), suite.pop_dst)
-    return suite.pair(pk.point, h) == suite.pair(suite.generator_g1, pop_point)
+    """Core verification of ``pop`` over the key's own bytes, under the
+    proof-of-possession DST."""
+    return bool(_verify_one(pk, pk.to_bytes(), pop, pk.suite.pop_dst))
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,10 @@ ate pairing with a by-the-book final exponentiation, hash-to-curve for G2
 and ZCash-convention compressed point encodings.
 
 Everything is derived from the single curve family parameter ``PARAM_X``
-where that is possible; the remaining literals (field modulus, standard
-generators) are cross-checked against derived values at import time.
+where that is possible. The field modulus and the subgroup order are
+cross-checked against their standard literals at import time; the
+standard generators are checked by the test suite, since their subgroup
+checks would cost every import over half a second.
 
 This module is deliberately not constant-time; it exists to back a
 protocol laboratory, not to hold production keys.
@@ -316,10 +318,6 @@ G2 = (
 )
 
 
-def is_inf(pt):
-    return pt is None
-
-
 def is_on_curve(pt, b):
     if pt is None:
         return True
@@ -384,10 +382,6 @@ def subgroup_check_g1(pt):
 
 def subgroup_check_g2(pt):
     return is_on_curve(pt, B2) and multiply(pt, CURVE_ORDER) is None
-
-
-assert is_on_curve(G1, B1) and subgroup_check_g1(G1)
-assert is_on_curve(G2, B2) and subgroup_check_g2(G2)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from . import batch as _batch
 from . import bls as _bls
 from . import simnet as _simnet
 from . import slashing as _slash
-from .errors import HandshakeRejected, LabError
+from .errors import LabError
 from .suites import Bls12381Suite, ToySuite
 
 REPORT_SCHEMA_VERSION = 1
@@ -282,12 +282,7 @@ def _cmd_noise_handshake(args, report):
 
 def _cmd_discv5_handshake(args, report):
     protocol = f"discv5-{args.variant}"
-    try:
-        session = _simnet.run_session(
-            protocol, args.seed, transcript_binding=args.transcript_binding
-        )
-    except HandshakeRejected as exc:
-        return 1, report.finish(f"rejected({exc.reason})")
+    session = _simnet.run_session(protocol, args.seed, transcript_binding=args.transcript_binding)
     result = session.extras.get("result")
     keys_equal = bool(result) and result.initiator_keys == result.responder_keys
     metrics = {

@@ -19,6 +19,7 @@ from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from .errors import HandshakeRejected, ParseError
+from .kdf import hkdf_sha256
 from .noise import DHKeypair, IdentityKeypair, verify_identity_sig
 from .transcript import DirectLink
 
@@ -168,15 +169,8 @@ def derive_session_keys(dh_outputs, challenge_data: bytes, src_id: bytes, dest_i
         raise ValueError("need at least one DH output")
     ikm = b"".join(dh_outputs)
     info = label + src_id + dest_id + transcript_hash
-    prk = _hmac_sha256(challenge_data, ikm)
-    okm = _hmac_sha256(prk, info + b"\x01")
+    okm = hkdf_sha256(challenge_data, ikm, info, 32)
     return SessionKeys(okm[:16], okm[16:32], label)
-
-
-def _hmac_sha256(key, data):
-    import hmac
-
-    return hmac.new(key, data, hashlib.sha256).digest()
 
 
 def transcript_hash(messages) -> bytes:

@@ -17,7 +17,6 @@ detector.
 from __future__ import annotations
 
 import hashlib
-import hmac as _hmac
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -39,6 +38,7 @@ from .errors import (
     NonceExhausted,
     ProtocolViolation,
 )
+from .kdf import HASH_LEN, hkdf_sha256
 from .transcript import DirectLink
 
 PROTOCOL_NAME = b"Noise_XX_25519_ChaChaPoly_SHA256"
@@ -200,18 +200,11 @@ class NonceReuseDetector:
 # ---------------------------------------------------------------------------
 
 
-def _hmac_sha256(key, data):
-    return _hmac.new(key, data, hashlib.sha256).digest()
-
-
 def noise_hkdf(chaining_key: bytes, ikm: bytes, num_outputs: int):
-    temp = _hmac_sha256(chaining_key, ikm)
-    out1 = _hmac_sha256(temp, b"\x01")
-    out2 = _hmac_sha256(temp, out1 + b"\x02")
-    if num_outputs == 2:
-        return out1, out2
-    out3 = _hmac_sha256(temp, out2 + b"\x03")
-    return out1, out2, out3
+    """Noise's HKDF: HKDF-SHA256 salted with the chaining key, with empty
+    info, cut into ``num_outputs`` 32-byte outputs."""
+    okm = hkdf_sha256(chaining_key, ikm, b"", HASH_LEN * num_outputs)
+    return tuple(okm[i : i + HASH_LEN] for i in range(0, len(okm), HASH_LEN))
 
 
 class SymmetricState:

@@ -235,19 +235,6 @@ class ProbeEntry:
 class ProbeReport:
     entries: list
 
-    def encrypted_entries(self, *, flag=None, direction=None, transcript=None):
-        out = []
-        for e in self.entries:
-            if not e.encrypted:
-                continue
-            if direction is not None and e.direction != direction:
-                continue
-            if flag is not None:
-                if transcript is None or flag not in transcript.entries[e.index].flags:
-                    continue
-            out.append(e)
-        return out
-
     def decrypt_fraction(self, entries=None) -> float:
         entries = entries if entries is not None else [e for e in self.entries if e.encrypted]
         if not entries:

@@ -120,9 +120,6 @@ class GtElement:
     def __pow__(self, k):
         return GtElement(self.suite, self.suite._gt_power(self.value, k))
 
-    def inverse(self):
-        return GtElement(self.suite, self.suite._gt_power(self.value, -1))
-
     def is_identity(self):
         return self.suite._gt_is_identity(self.value)
 
@@ -178,6 +175,25 @@ class PairingSuite(ABC):
             raise TypeError("pair expects (G1, G2)")
         self.pairing_count += 1
         return GtElement(self, self._pair_values(p.value, q.value))
+
+    def pairing_check(self, lhs, rhs) -> bool:
+        """Whether the product of e(P, Q) over the (P, Q) pairs of ``lhs``
+        equals the product over ``rhs``; one counted pairing per pair.
+
+        The two sides stay apart: off the r-subgroup the toy pairing is not
+        bilinear, so moving a term across as e(-P, Q) would change the
+        outcome of the torsion attacks.
+        """
+        return self._pair_product(lhs) == self._pair_product(rhs)
+
+    def _pair_product(self, pairs):
+        # Start from the first value, not the identity: on BLS12-381 each
+        # multiplication is a full Fq12 product.
+        acc = None
+        for p, q in pairs:
+            value = self.pair(p, q)
+            acc = value if acc is None else acc * value
+        return self.identity_gt() if acc is None else acc
 
     @abstractmethod
     def hash_to_group2(self, message: bytes, dst: bytes | None = None) -> Group2Element: ...

@@ -1,11 +1,13 @@
 """Signature scheme: keygen, core verification, aggregation, possession
 proofs, and the rogue-key forgery."""
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beaconlab import bls
+from beaconlab import batch, bls
 from beaconlab.errors import (
     ArityMismatch,
     EmptyAggregation,
@@ -198,6 +200,109 @@ def test_fast_aggregate_verify_honest_with_pops(toy):
     pops = [bls.pop_prove(sk) for sk in sks]
     agg = bls.aggregate([bls.sign(sk, b"same") for sk in sks])
     assert bls.fast_aggregate_verify(pks, pops, b"same", agg)
+
+
+def test_fast_aggregate_rejects_identity_aggregate_key(toy, toy257):
+    """Keys sk*G and (r - sk)*G sum to the identity, so the identity
+    signature would verify on any message; KeyValidate of the aggregate
+    key rejects it, even with both possession proofs valid."""
+    for suite in (toy, toy257):
+        sks = [bls.SecretKey(3, suite), bls.SecretKey(suite.order - 3, suite)]
+        pks = [bls.sk_to_pk(sk) for sk in sks]
+        pops = [bls.pop_prove(sk) for sk in sks]
+        assert all(bls.pop_verify(pk, pop) for pk, pop in zip(pks, pops))
+        identity = bls.BlsSignature(suite.identity_g2())
+        for message in (b"pay alice", b"pay mallory"):
+            result = bls.fast_aggregate_verify(pks, pops, message, identity)
+            assert str(result) == "INVALID(key-identity)"
+
+
+# ---------------------------------------------------------------------------
+# Rejection reasons: every check of every verification path, by name
+# ---------------------------------------------------------------------------
+
+
+def _table_setup(suite):
+    sk = bls.SecretKey(2, suite)
+    pk = bls.sk_to_pk(sk)
+    msg = next(m for m in MESSAGES if not suite.hash_to_group2(m).is_identity())
+    torsion = suite.unchecked_g2(7)  # order-5 element of Z_35
+    return sk, pk, msg, torsion
+
+
+def _core(suite, pk=None, sig=None):
+    sk, pk0, msg, _ = _table_setup(suite)
+    return str(bls.core_verify(pk or pk0, msg, bls.sign(sk, msg) if sig is None else sig))
+
+
+def _aggregate(suite, fn, pks, **kwargs):
+    # Both reasons fire before the pairing, so one honest signature serves.
+    sk, pk, _, _ = _table_setup(suite)
+    messages = [b"m1", b"m2"] if fn is bls.aggregate_verify else b"m1"
+    return str(fn(pks(pk), messages, bls.sign(sk, b"m1"), **kwargs))
+
+
+def _pop(suite, pk=None, pop=None):
+    sk, pk0, _, torsion = _table_setup(suite)
+    if pop is None:
+        pop = bls.pop_prove(sk)
+    elif pop == "shifted":
+        pop = bls.ProofOfPossession(bls.pop_prove(sk).point + torsion)
+    return bls.pop_verify(pk or pk0, pop)
+
+
+def _shifted_batch(suite, verify):
+    sk, pk, msg, torsion = _table_setup(suite)
+    items = [batch.BatchItem(bls.BlsSignature(bls.sign(sk, msg).point + torsion), [(pk, msg)])]
+    if verify is batch.naive_verify:
+        return verify(items)
+    return verify(items, batch.BatchCoefficients.generate(b"\x07" * 32, 1, order=suite.order))
+
+
+_BAD_KEY = {
+    "identity": lambda s: bls.PublicKey(s.unchecked_g1(0)),
+    "torsion": lambda s: bls.PublicKey(s.unchecked_g1(7)),
+    # KeyValidate decodes anything that is not a PublicKey as key bytes.
+    "undecodable": lambda s: SimpleNamespace(suite=s, validated=False),
+}
+
+REASON_TABLE = [
+    ("core-signature-encoding", lambda s: _core(s, sig=b"not a point"),
+     "INVALID(signature-encoding)"),
+    ("core-signature-subgroup", lambda s: _core(s, sig=bls.BlsSignature(s.unchecked_g2(7))),
+     "INVALID(signature-subgroup)"),
+    ("core-key-encoding", lambda s: _core(s, pk=_BAD_KEY["undecodable"](s)),
+     "INVALID(key-encoding)"),
+    ("core-key-identity", lambda s: _core(s, pk=_BAD_KEY["identity"](s)),
+     "INVALID(key-identity)"),
+    ("core-key-subgroup", lambda s: _core(s, pk=_BAD_KEY["torsion"](s)),
+     "INVALID(key-subgroup)"),
+    ("core-pairing-mismatch", lambda s: _core(s, sig=bls.sign(bls.SecretKey(3, s), b"a")),
+     "INVALID(pairing-mismatch)"),
+    ("aggregate-key-invalid", lambda s: _aggregate(
+        s, bls.aggregate_verify, lambda pk: [pk, _BAD_KEY["torsion"](s)]),
+     "INVALID(key-invalid)"),
+    ("aggregate-duplicate-keys", lambda s: _aggregate(
+        s, bls.aggregate_verify, lambda pk: [pk, pk],
+        require_distinct_keys=True),
+     "INVALID(duplicate-keys)"),
+    ("unsafe-fast-duplicate-keys", lambda s: _aggregate(
+        s, bls.unsafe_fast_aggregate_verify, lambda pk: [pk, pk],
+        require_distinct_keys=True),
+     "INVALID(duplicate-keys)"),
+    ("pop-undecodable", lambda s: _pop(s, pop=b"not a point"), False),
+    ("pop-torsion-shifted", lambda s: _pop(s, pop="shifted"), False),
+    ("pop-identity-key", lambda s: _pop(s, pk=_BAD_KEY["identity"](s)), False),
+    ("naive-torsion-shifted", lambda s: _shifted_batch(s, batch.naive_verify), False),
+    ("batch-torsion-shifted", lambda s: _shifted_batch(s, batch.batch_verify), False),
+]
+
+
+@pytest.mark.parametrize(
+    "case, expected", [(c[1], c[2]) for c in REASON_TABLE], ids=[c[0] for c in REASON_TABLE]
+)
+def test_rejection_reasons(toy, case, expected):
+    assert case(toy) == expected
 
 
 # ---------------------------------------------------------------------------
