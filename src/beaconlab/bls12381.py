@@ -5,11 +5,17 @@ ate pairing with a by-the-book final exponentiation, hash-to-curve for G2
 (expand_message_xmd + Shallue-van de Woestijne map + cofactor clearing),
 and ZCash-convention compressed point encodings.
 
+The endomorphisms sigma of E and psi of the twist E' make the subgroup
+checks and cofactor clearing cheap: the G1 and G2 checks compare sigma(P)
+with [-x^2]P and psi(P) with [x]P, and cofactor clearing multiplies by
+RFC 9380's h_eff through psi, so each costs one or two multiplications by
+the 64-bit x. Multiplication by r or by h_eff stays in the tests as the
+definition these are checked against.
+
 Everything is derived from the single curve family parameter ``PARAM_X``
 where that is possible. The field modulus and the subgroup order are
 cross-checked against their standard literals at import time; the
-standard generators are checked by the test suite, since their subgroup
-checks would cost every import over half a second.
+standard generators are checked by the test suite.
 
 This module is deliberately not constant-time; it exists to back a
 protocol laboratory, not to hold production keys.
@@ -376,12 +382,49 @@ def eq(p1, p2):
     return p1 == p2
 
 
+# ---------------------------------------------------------------------------
+# Endomorphisms and subgroup checks
+# ---------------------------------------------------------------------------
+
+# sigma(x, y) = (BETA * x, y) is an endomorphism of E. BETA is the cube root
+# of unity in Fq for which sigma acts on G1 as multiplication by -x^2; the
+# other root, BETA^2, gives x^2 - 1.
+BETA = FQ(-PARAM_X**5 + 3 * PARAM_X**4 - 3 * PARAM_X**3 + PARAM_X - 2)
+
+# psi = untwist, Frobenius, twist on E'(Fq2): conjugate both coordinates,
+# then scale them by c1 = 1/(1+u)^((q-1)/3) and c2 = 1/(1+u)^((q-1)/2),
+# both powers of d = 1/(1+u)^((q-1)/6).
+_PSI_D = FQ2([1, 1]) ** -((_Q - 1) // 6)
+_PSI_C1 = _PSI_D * _PSI_D
+_PSI_C2 = _PSI_C1 * _PSI_D
+
+
+def _conj(a):
+    return FQ2([a.coeffs[0], -a.coeffs[1]])
+
+
+def psi(pt):
+    """The psi endomorphism of E'(Fq2); on G2 it is multiplication by q,
+    which is x mod r."""
+    if pt is None:
+        return None
+    x, y = pt
+    return (_conj(x) * _PSI_C1, _conj(y) * _PSI_C2)
+
+
 def subgroup_check_g1(pt):
-    return is_on_curve(pt, B1) and multiply(pt, CURVE_ORDER) is None
+    """P is in G1 iff it is on E and sigma(P) == [-x^2]P (Scott, eprint
+    2021/1130)."""
+    if not is_on_curve(pt, B1):
+        return False
+    sigma = None if pt is None else (pt[0] * BETA, pt[1])
+    return sigma == multiply(multiply(pt, PARAM_X), -PARAM_X)
 
 
 def subgroup_check_g2(pt):
-    return is_on_curve(pt, B2) and multiply(pt, CURVE_ORDER) is None
+    """P is in G2 iff it is on E' and psi(P) == [x]P (Scott, eprint
+    2021/1130)."""
+    return is_on_curve(pt, B2) and psi(pt) == multiply(pt, PARAM_X)
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +659,14 @@ def map_to_curve_g2(u: FQ2):
 
 
 def clear_cofactor_g2(pt):
-    return multiply(pt, H2)
+    """[h_eff]P with h_eff = 3(x^2 - 1) h2, the clearing of RFC 9380
+    section 8.8.2, as [x^2 - x - 1]P + [x - 1]psi(P) + psi^2(2P)
+    (Budroni-Pintore, eprint 2017/419)."""
+    t1 = multiply(pt, PARAM_X)
+    t2 = psi(pt)
+    t3 = add(psi(psi(double(pt))), neg(t2))
+    t2 = multiply(add(t1, t2), PARAM_X)
+    return add(add(t3, t2), neg(add(t1, pt)))
 
 
 def hash_to_g2(msg: bytes, dst: bytes):

@@ -217,6 +217,27 @@ def test_fast_aggregate_rejects_identity_aggregate_key(toy, toy257):
             assert str(result) == "INVALID(key-identity)"
 
 
+def test_fast_aggregate_checks_no_key_when_keys_are_validated(toy257, monkeypatch):
+    """Two proofs of possession and the signature are checked in G2; the
+    sum of two validated keys needs no G1 check. Unvalidated keys are still
+    KeyValidated, each and in sum."""
+    sks = [bls.SecretKey(s, toy257) for s in (2, 3)]
+    pks = [bls.sk_to_pk(sk) for sk in sks]
+    pops = [bls.pop_prove(sk) for sk in sks]
+    agg = bls.aggregate([bls.sign(sk, b"same") for sk in sks])
+    groups = []
+    check = toy257.subgroup_check
+    monkeypatch.setattr(
+        toy257, "subgroup_check", lambda elem: groups.append(elem.group) or check(elem)
+    )
+    assert bls.fast_aggregate_verify(pks, pops, b"same", agg)
+    assert sorted(groups) == ["g2"] * 3
+    groups.clear()
+    unvalidated = [bls.PublicKey(pk.point) for pk in pks]
+    assert bls.fast_aggregate_verify(unvalidated, pops, b"same", agg)
+    assert sorted(groups) == ["g1"] * 3 + ["g2"] * 3
+
+
 # ---------------------------------------------------------------------------
 # Rejection reasons: every check of every verification path, by name
 # ---------------------------------------------------------------------------
@@ -316,3 +337,15 @@ def test_vector_roundtrip(toy):
     assert bls.check_test_vector(vec, suite=toy)
     vec["message"] = b"tampered".hex()
     assert not bls.check_test_vector(vec, suite=toy)
+
+
+def test_vector_expectation_compares_the_reason(toy):
+    """An INVALID expectation holds only for the reason it names."""
+    sk, _ = _keypair(toy)
+    vec = bls.make_test_vector(sk, b"vector message")
+    shifted = bls.sign(sk, b"vector message").point + toy.unchecked_g2(7)
+    vec["signature"] = shifted.to_bytes().hex()
+    vec["expect"] = "INVALID(pairing-mismatch)"
+    assert not bls.check_test_vector(vec, suite=toy)
+    vec["expect"] = "INVALID(signature-subgroup)"
+    assert bls.check_test_vector(vec, suite=toy)

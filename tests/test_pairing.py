@@ -3,6 +3,7 @@
 import pytest
 
 from beaconlab import bls12381 as b
+from beaconlab.suites import Bls12381Suite
 
 
 def test_derived_parameters_match_standard_constants():
@@ -101,3 +102,116 @@ def test_decompress_rejects_non_curve_x():
         except ValueError:
             return
     pytest.fail("no off-curve x found near the generator")
+
+
+# ---------------------------------------------------------------------------
+# The psi and sigma endomorphisms, the fast subgroup checks and cofactor
+# clearing, each against its definition by r- or h_eff-multiplication.
+# ---------------------------------------------------------------------------
+
+# The prime factors of h1.
+G1_TORSION_PRIMES = (3, 11, 10177, 859267, 52437899)
+
+
+def _in_g1_oracle(pt):
+    return b.is_on_curve(pt, b.B1) and b.multiply(pt, b.CURVE_ORDER) is None
+
+
+def _in_g2_oracle(pt):
+    return b.is_on_curve(pt, b.B2) and b.multiply(pt, b.CURVE_ORDER) is None
+
+
+def _raw_g1_point(start=1):
+    """The point of E(Fq) with the smallest x >= start: not in G1 unless by
+    a 1-in-h1 chance."""
+    x = b.FQ(start)
+    while not b.is_square_fq(x * x * x + b.B1):
+        x = x + 1
+    return (x, b.sqrt_fq(x * x * x + b.B1))
+
+
+def _g1_torsion(p):
+    """A point of order p on E(Fq), which has order r * h1: project a curve
+    point by that order with every factor p removed, then multiply by p
+    until one more step would reach the identity."""
+    n = b.CURVE_ORDER * b.H1
+    while n % p == 0:
+        n //= p
+    start = 1
+    while True:
+        pt = _raw_g1_point(start)
+        t = b.multiply(pt, n)
+        if t is not None:
+            while b.multiply(t, p) is not None:
+                t = b.multiply(t, p)
+            return t
+        start = pt[0].n + 1
+
+
+@pytest.fixture(scope="module")
+def raw_map_points():
+    u0, u1 = b.hash_to_field_fq2(b"raw map outputs", b"TEST-DST", 2)
+    return b.map_to_curve_g2(u0), b.map_to_curve_g2(u1)
+
+
+def test_psi_is_an_endomorphism_of_the_twist(raw_map_points):
+    p, q = raw_map_points
+    assert b.psi(None) is None
+    for pt in (p, q, b.add(p, q), b.G2):
+        assert b.is_on_curve(b.psi(pt), b.B2)
+    assert b.psi(b.add(p, q)) == b.add(b.psi(p), b.psi(q))
+    assert b.psi(b.double(p)) == b.double(b.psi(p))
+    assert b.psi(b.neg(q)) == b.neg(b.psi(q))
+
+
+def test_psi_on_g2_is_multiplication_by_q():
+    assert b.psi(b.G2) == b.multiply(b.G2, b.FIELD_MODULUS % b.CURVE_ORDER)
+
+
+def test_sigma_on_g1_is_multiplication_by_minus_x_squared():
+    lam = -(b.PARAM_X**2)
+    assert b.BETA != 1 and b.BETA**3 == 1
+    assert (lam * lam + lam + 1) % b.CURVE_ORDER == 0
+    assert (b.G1[0] * b.BETA, b.G1[1]) == b.multiply(b.G1, lam % b.CURVE_ORDER)
+
+
+# The generators are covered by test_generators_on_curve_and_prime_order.
+def test_fast_g2_check_matches_oracle_off_the_torsion(raw_map_points):
+    for pt in (None, b.hash_to_g2(b"hashed point", b"TEST-DST"), *raw_map_points):
+        assert b.subgroup_check_g2(pt) == _in_g2_oracle(pt)
+    assert not b.subgroup_check_g2(raw_map_points[0])
+
+
+def test_fast_g1_check_matches_oracle_off_the_torsion():
+    raw = _raw_g1_point()
+    for pt in (None, b.multiply(b.G1, 0xC0FFEE), raw):
+        assert b.subgroup_check_g1(pt) == _in_g1_oracle(pt)
+    assert not b.subgroup_check_g1(raw)
+
+
+@pytest.mark.parametrize("p", Bls12381Suite.G2_TORSION_PRIMES)
+def test_fast_g2_check_rejects_torsion(production, p):
+    t = production.small_order_g2(p).value
+    assert b.multiply(t, p) is None
+    shifted = b.add(b.G2, t)
+    for pt in (t, shifted):
+        assert b.subgroup_check_g2(pt) is _in_g2_oracle(pt) is False
+    assert b.clear_cofactor_g2(t) is None
+
+
+@pytest.mark.parametrize("p", G1_TORSION_PRIMES)
+def test_fast_g1_check_rejects_torsion(p):
+    t = _g1_torsion(p)
+    assert t is not None and b.multiply(t, p) is None
+    shifted = b.add(b.G1, t)
+    for pt in (t, shifted):
+        assert b.subgroup_check_g1(pt) is _in_g1_oracle(pt) is False
+
+
+def test_clear_cofactor_g2_is_multiplication_by_h_eff(raw_map_points):
+    p = raw_map_points[0]
+    h_eff = 3 * (b.PARAM_X**2 - 1) * b.H2
+    cleared = b.clear_cofactor_g2(p)
+    assert cleared is not None
+    assert cleared == b.multiply(p, h_eff)
+    assert _in_g2_oracle(cleared)

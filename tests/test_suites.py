@@ -26,6 +26,9 @@ def test_toy_subgroup_membership(toy):
     assert toy.subgroup_check(toy.unchecked_g2(15))
     assert not toy.subgroup_check(toy.unchecked_g2(7))
     assert toy.subgroup_check(toy.unchecked_g2(0))
+    for raw in range(toy.modulus):
+        for elem in (toy.unchecked_g1(raw), toy.unchecked_g2(raw)):
+            assert toy.subgroup_check(elem) == (elem * toy.order).is_identity()
 
 
 def test_toy_small_order_element(toy):
@@ -96,3 +99,8 @@ def test_production_serialization_roundtrip(production):
     assert production.g2_from_bytes(production.g2_to_bytes(e2)) == e2
     e1 = production.generator_g1 * 9
     assert production.g1_from_bytes(production.g1_to_bytes(e1)) == e1
+
+
+def test_production_ciphersuite_names_the_svdw_map(production):
+    for dst in (production.dst, production.pop_dst):
+        assert b"_XMD:SHA-256_SVDW_RO_POP_" in dst and b"SSWU" not in dst
