@@ -9,7 +9,7 @@ import hashlib
 from dataclasses import dataclass
 
 from .bls import BlsSignature
-from .errors import ArityMismatch, EmptyBatch, InvalidCoefficient
+from .errors import ArityMismatch, EmptyBatch, InvalidCoefficient, parsing
 from .suites import Group2Element, PairingSuite
 
 DEFAULT_COEFF_BITS = 128
@@ -195,18 +195,23 @@ def batch_to_json(items, coeffs: BatchCoefficients, *, enforce_subgroup: bool) -
 def batch_from_json(doc: dict, *, suite: PairingSuite):
     from .bls import key_validate
 
-    items = []
-    for entry in doc["items"]:
-        sig = BlsSignature(suite.g2_from_bytes(bytes.fromhex(entry["signature"])))
-        pairs = [
-            (key_validate(bytes.fromhex(p["pk"]), suite=suite), bytes.fromhex(p["message"]))
-            for p in entry["pairs"]
+    with parsing("batch document"):
+        entries = [
+            (
+                bytes.fromhex(entry["signature"]),
+                [(bytes.fromhex(p["pk"]), bytes.fromhex(p["message"])) for p in entry["pairs"]],
+            )
+            for entry in doc["items"]
         ]
-        items.append(BatchItem(sig, pairs))
-    coeffs = BatchCoefficients.generate(
-        bytes.fromhex(doc["seed"]),
-        len(items),
-        order=suite.order,
-        bit_width=doc.get("coeff_bits", DEFAULT_COEFF_BITS),
-    )
-    return items, coeffs, bool(doc.get("enforce_subgroup", True))
+        seed = bytes.fromhex(doc["seed"])
+        bit_width = doc.get("coeff_bits", DEFAULT_COEFF_BITS)
+        enforce_subgroup = bool(doc.get("enforce_subgroup", True))
+    items = [
+        BatchItem(
+            BlsSignature(suite.g2_from_bytes(sig)),
+            [(key_validate(pk, suite=suite), message) for pk, message in pairs],
+        )
+        for sig, pairs in entries
+    ]
+    coeffs = BatchCoefficients.generate(seed, len(items), order=suite.order, bit_width=bit_width)
+    return items, coeffs, enforce_subgroup

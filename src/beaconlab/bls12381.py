@@ -12,6 +12,12 @@ RFC 9380's h_eff through psi, so each costs one or two multiplications by
 the 64-bit x. Multiplication by r or by h_eff stays in the tests as the
 definition these are checked against.
 
+Every field inverts in closed form: Fq by ``pow(n, -1, q)``, Fq2 by the
+conjugate over the norm a^2 + b^2, and Fq12 through its norm to Fq2 under
+the automorphisms w -> zeta w (zeta^6 = 1). An Fq2 element is a square iff
+its norm is a square in Fq. The Fermat inverse x^(|F| - 2) and the Euler
+power x^((q^2 - 1)/2) stay in the tests as the definitions.
+
 Everything is derived from the single curve family parameter ``PARAM_X``
 where that is possible. The field modulus and the subgroup order are
 cross-checked against their standard literals at import time; the
@@ -103,7 +109,7 @@ class FQ:
     def inv(self):
         if self.n == 0:
             raise ZeroDivisionError("inversion of zero in Fq")
-        return FQ(pow(self.n, _Q - 2, _Q))
+        return FQ(pow(self.n, -1, _Q))
 
     def __eq__(self, other):
         if isinstance(other, FQ):
@@ -207,29 +213,6 @@ class FQP:
             e >>= 1
         return result
 
-    def inv(self):
-        # Extended Euclid over the polynomial ring.
-        deg = self.degree
-        lm, hm = [1] + [0] * deg, [0] * (deg + 1)
-        low = list(self.coeffs) + [0]
-        high = list(self.modulus_coeffs) + [1]
-        while _polydeg(low):
-            r = _polydiv(high, low)
-            r += [0] * (deg + 1 - len(r))
-            nm = list(hm)
-            new = list(high)
-            for i in range(deg + 1):
-                for j in range(deg + 1 - i):
-                    nm[i + j] -= lm[i] * r[j]
-                    new[i + j] -= low[i] * r[j]
-            nm = [x % _Q for x in nm]
-            new = [x % _Q for x in new]
-            lm, low, hm, high = nm, new, lm, low
-        if all(c == 0 for c in low):
-            raise ZeroDivisionError("inversion of zero in extension field")
-        c0 = FQ(low[0]).inv().n
-        return type(self)([c * c0 for c in lm[:deg]])
-
     def _coerce(self, other):
         if isinstance(other, type(self)):
             return other
@@ -259,30 +242,17 @@ class FQP:
         return cls([0] * cls.degree)
 
 
-def _polydeg(p):
-    d = len(p) - 1
-    while d and p[d] == 0:
-        d -= 1
-    return d
-
-
-def _polydiv(a, b):
-    dega, degb = _polydeg(a), _polydeg(b)
-    temp = list(a)
-    out = [0] * len(a)
-    binv = pow(b[degb], _Q - 2, _Q)
-    for i in range(dega - degb, -1, -1):
-        out[i] = (out[i] + temp[degb + i] * binv) % _Q
-        for c in range(degb + 1):
-            temp[c + i] = (temp[c + i] - out[i] * b[c]) % _Q
-    return [x % _Q for x in out[: _polydeg(out) + 1]]
-
-
 class FQ2(FQP):
     """Fq2 = Fq[u] / (u^2 + 1)."""
 
     degree = 2
     modulus_coeffs = (1, 0)
+
+    def inv(self):
+        # 1/(a + bu) = (a - bu) / (a^2 + b^2).
+        a, b = self.coeffs
+        k = FQ(a * a + b * b).inv().n
+        return FQ2([a * k, -b * k])
 
 
 class FQ12(FQP):
@@ -290,6 +260,22 @@ class FQ12(FQP):
 
     degree = 12
     modulus_coeffs = (2, 0, 0, 0, 0, 0, -2, 0, 0, 0, 0, 0)
+
+    def inv(self):
+        # The maps w -> zeta w (zeta^6 = 1) fix the modulus: they are the
+        # automorphisms of Fq12 over Fq2 = Fq[w^6]. With f_bar = f(-w),
+        # g = f f_bar is even in w, and h = g(zeta w) g(zeta^2 w) scales g's
+        # w^(2k) coefficient by BETA^k and BETA^(2k) (zeta^2 = BETA). The
+        # norm N = g h = n0 + n6 w^6 lies in Fq2, and 1/f = f_bar h / N.
+        f_bar = FQ12([-c if i % 2 else c for i, c in enumerate(self.coeffs)])
+        g = self * f_bar
+        h = FQ12([c * s for c, s in zip(g.coeffs, _ZETA_SCALES[0])]) * FQ12(
+            [c * s for c, s in zip(g.coeffs, _ZETA_SCALES[1])]
+        )
+        n = (g * h).coeffs
+        # u = w^6 - 1, so n0 + n6 w^6 = (n0 + n6) + n6 u, and back again.
+        a, b = FQ2([n[0] + n[6], n[6]]).inv().coeffs
+        return f_bar * h * FQ12([a - b, 0, 0, 0, 0, 0, b, 0, 0, 0, 0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +376,10 @@ def eq(p1, p2):
 # of unity in Fq for which sigma acts on G1 as multiplication by -x^2; the
 # other root, BETA^2, gives x^2 - 1.
 BETA = FQ(-PARAM_X**5 + 3 * PARAM_X**4 - 3 * PARAM_X**3 + PARAM_X - 2)
+
+# The factors BETA^k and BETA^(2k) by which FQ12.inv scales the w^(2k)
+# coefficient (index i = 2k or 2k + 1) of an even element.
+_ZETA_SCALES = [[pow(BETA.n, e * (i // 2), _Q) for i in range(12)] for e in (1, 2)]
 
 # psi = untwist, Frobenius, twist on E'(Fq2): conjugate both coordinates,
 # then scale them by c1 = 1/(1+u)^((q-1)/3) and c2 = 1/(1+u)^((q-1)/2),
@@ -518,9 +508,9 @@ def is_square_fq(a: FQ):
 
 
 def is_square_fq2(a: FQ2):
-    if a == FQ2.zero():
-        return True
-    return a ** ((_Q * _Q - 1) // 2) == FQ2.one()
+    # a is a square in Fq2 iff its norm a0^2 + a1^2 is a square in Fq.
+    a0, a1 = a.coeffs
+    return is_square_fq(FQ(a0 * a0 + a1 * a1))
 
 
 def sqrt_fq2(a: FQ2):

@@ -21,7 +21,7 @@ from . import batch as _batch
 from . import bls as _bls
 from . import simnet as _simnet
 from . import slashing as _slash
-from .errors import LabError
+from .errors import LabError, parsing
 from .suites import Bls12381Suite, ToySuite
 
 REPORT_SCHEMA_VERSION = 1
@@ -383,23 +383,23 @@ def _cmd_slash_validate_evidence(args, report):
     suite = _get_suite(args.suite)
     with open(args.file) as fh:
         doc = json.load(fh)
-    pubkey = _bls.key_validate(bytes.fromhex(doc["pubkey"]), suite=suite)
-    sig1 = bytes.fromhex(doc["signature_1"])
-    sig2 = bytes.fromhex(doc["signature_2"])
-    if doc["kind"] == "attester":
-        rec = lambda d: _slash.AttestationRecord(
-            d["source_epoch"], d["target_epoch"], bytes.fromhex(d["signing_root"])
-        )
-        result = _slash.validate_attester_slashing(
-            rec(doc["record_1"]), sig1, rec(doc["record_2"]), sig2, pubkey
-        )
-    elif doc["kind"] == "proposer":
-        rec = lambda d: _slash.SignedBlockRecord(d["slot"], bytes.fromhex(d["signing_root"]))
-        result = _slash.validate_proposer_slashing(
-            rec(doc["record_1"]), sig1, rec(doc["record_2"]), sig2, pubkey
-        )
-    else:
-        raise ValueError("kind must be attester or proposer")
+    with parsing("evidence document"):
+        pubkey_bytes = bytes.fromhex(doc["pubkey"])
+        sig1 = bytes.fromhex(doc["signature_1"])
+        sig2 = bytes.fromhex(doc["signature_2"])
+        if doc["kind"] == "attester":
+            rec = lambda d: _slash.AttestationRecord(
+                d["source_epoch"], d["target_epoch"], bytes.fromhex(d["signing_root"])
+            )
+            validate = _slash.validate_attester_slashing
+        elif doc["kind"] == "proposer":
+            rec = lambda d: _slash.SignedBlockRecord(d["slot"], bytes.fromhex(d["signing_root"]))
+            validate = _slash.validate_proposer_slashing
+        else:
+            raise ValueError("kind must be attester or proposer")
+        rec1, rec2 = rec(doc["record_1"]), rec(doc["record_2"])
+    pubkey = _bls.key_validate(pubkey_bytes, suite=suite)
+    result = validate(rec1, sig1, rec2, sig2, pubkey)
     metrics = {"result": str(result), "reason": result.reason}
     return (0 if result else 1), report.finish(str(result), metrics=metrics)
 

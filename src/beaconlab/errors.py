@@ -1,8 +1,24 @@
 """Shared exception types."""
 
+from contextlib import contextmanager
+
 
 class LabError(Exception):
     """Base class for all beaconlab errors."""
+
+
+class MalformedDocument(LabError):
+    """A JSON document lacks a required field or has one of the wrong type."""
+
+
+@contextmanager
+def parsing(document: str):
+    """Raise a missing or wrongly typed field of ``document`` as
+    :class:`MalformedDocument` instead of a bare KeyError or TypeError."""
+    try:
+        yield
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise MalformedDocument(f"{document}: missing or mistyped field ({exc!r})") from None
 
 
 # -- pairing / BLS ----------------------------------------------------------

@@ -119,14 +119,6 @@ class CipherState:
         self.nonce_cap = nonce_cap
         self.poisoned = False
 
-    def has_key(self):
-        return self.k is not None
-
-    def initialize_key(self, key):
-        self.k = key
-        self.n = 0
-        self.poisoned = False
-
     def _nonce_bytes(self):
         return b"\x00" * 4 + self.n.to_bytes(8, "little")
 

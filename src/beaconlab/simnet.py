@@ -26,14 +26,6 @@ from .transcript import AdversarialLink, DirectLink, DroppedPacket, Transcript
 
 DEFAULT_TRANSPORT_ROUNDS = 2
 
-# Roles a CompromiseSet can hold private keys for.
-ROLES = (
-    "initiator_static",
-    "responder_static",
-    "initiator_ephemeral",
-    "responder_ephemeral",
-)
-
 
 @dataclass
 class SessionOutcome:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import bls
-from .errors import InterchangeConflict, UnsupportedVersion, WrongChain
+from .errors import InterchangeConflict, UnsupportedVersion, WrongChain, parsing
 
 INTERCHANGE_VERSION = "5"
 
@@ -212,33 +212,33 @@ class ProtectionDB:
         existing history (or the rest of the document) aborts the import
         before anything is written.
         """
-        meta = doc.get("metadata", {})
-        if meta.get("interchange_format_version") != INTERCHANGE_VERSION:
-            raise UnsupportedVersion(
-                f"unsupported interchange version {meta.get('interchange_format_version')!r}"
-            )
-        root = _parse_hex(meta.get("genesis_validators_root", ""))
-        if root != self.genesis_validators_root:
-            raise WrongChain("genesis validators root does not match this database")
+        with parsing("interchange document"):
+            meta = doc.get("metadata", {})
+            version = meta.get("interchange_format_version")
+            if version != INTERCHANGE_VERSION:
+                raise UnsupportedVersion(f"unsupported interchange version {version!r}")
+            root = _parse_hex(meta.get("genesis_validators_root", ""))
+            if root != self.genesis_validators_root:
+                raise WrongChain("genesis validators root does not match this database")
 
-        staged = []  # (pubkey hex, record)
-        for validator in doc.get("data", []):
-            key = _parse_hex(validator["pubkey"]).hex()
-            for blk in validator.get("signed_blocks", []):
-                staged.append(
-                    (key, SignedBlockRecord(int(blk["slot"]), _parse_hex(blk["signing_root"])))
-                )
-            for att in validator.get("signed_attestations", []):
-                staged.append(
-                    (
-                        key,
-                        AttestationRecord(
-                            int(att["source_epoch"]),
-                            int(att["target_epoch"]),
-                            _parse_hex(att["signing_root"]),
-                        ),
+            staged = []  # (pubkey hex, record)
+            for validator in doc.get("data", []):
+                key = _parse_hex(validator["pubkey"]).hex()
+                for blk in validator.get("signed_blocks", []):
+                    staged.append(
+                        (key, SignedBlockRecord(int(blk["slot"]), _parse_hex(blk["signing_root"])))
                     )
-                )
+                for att in validator.get("signed_attestations", []):
+                    staged.append(
+                        (
+                            key,
+                            AttestationRecord(
+                                int(att["source_epoch"]),
+                                int(att["target_epoch"]),
+                                _parse_hex(att["signing_root"]),
+                            ),
+                        )
+                    )
 
         if reject_conflicts:
             combined = {}

@@ -3,7 +3,7 @@
 import pytest
 
 from beaconlab import batch, bls
-from beaconlab.errors import ArityMismatch, EmptyBatch, InvalidCoefficient
+from beaconlab.errors import ArityMismatch, EmptyBatch, InvalidCoefficient, MalformedDocument
 
 SEED = b"\x07" * 32
 
@@ -162,3 +162,18 @@ def test_batch_json_roundtrip(toy257):
         i.signature.to_bytes() for i in items
     ]
     assert batch.batch_verify(items2, coeffs2)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {},
+        [],
+        {"items": 5},
+        {"items": [{"signature": 7, "pairs": []}]},
+        {"items": [], "seed": None},
+    ],
+)
+def test_batch_json_missing_or_mistyped_field(toy257, doc):
+    with pytest.raises(MalformedDocument):
+        batch.batch_from_json(doc, suite=toy257)

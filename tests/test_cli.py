@@ -291,3 +291,41 @@ def test_slash_validate_evidence_file(capsys, tmp_path):
     path.write_text(json.dumps(doc))
     code, out = run_json(capsys, "slash", "validate-evidence", "--file", str(path))
     assert code == 1 and out["metrics"]["reason"] == "bad-signature-1"
+
+
+# ---------------------------------------------------------------------------
+# Malformed documents: a typed error report, never a traceback
+# ---------------------------------------------------------------------------
+
+_ROOT = "0x" + "00" * 32
+
+
+@pytest.mark.parametrize(
+    "argv, document",
+    [
+        (("bls", "batch-verify"), {}),
+        (
+            ("slash", "validate-evidence"),
+            {"kind": "attester", "signature_1": "00", "signature_2": "00"},
+        ),
+        (
+            ("slash", "import", "--db", "{tmp}/p.jsonl"),
+            {
+                "metadata": {
+                    "interchange_format_version": slashing.INTERCHANGE_VERSION,
+                    "genesis_validators_root": _ROOT,
+                },
+                "data": [{"signed_blocks": []}],
+            },
+        ),
+    ],
+    ids=["batch-without-items", "evidence-without-pubkey", "interchange-without-pubkey"],
+)
+def test_malformed_document_is_a_typed_error(capsys, tmp_path, argv, document):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(document))
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    code, out, err = run(capsys, "--json", "--no-timestamp", *argv, "--file", str(path))
+    assert code == 1
+    assert json.loads(out)["outcome"].startswith("error:")
+    assert "Traceback" not in err

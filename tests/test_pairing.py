@@ -215,3 +215,33 @@ def test_clear_cofactor_g2_is_multiplication_by_h_eff(raw_map_points):
     assert cleared is not None
     assert cleared == b.multiply(p, h_eff)
     assert _in_g2_oracle(cleared)
+
+
+def test_pairing_goes_through_the_traced_fq12_hooks(monkeypatch):
+    """perfbench's traced run counts Fq12 products by patching FQ12.__mul__
+    and times the final exponentiation by patching FQ12.__pow__ for the
+    exponent (q^12 - 1)/r, so a pairing must reach both."""
+    power, mul = b.FQ12.__pow__, b.FQ12.__mul__
+    exponents, products, inside = [], [0, 0], [False]
+
+    def counting_pow(x, e):
+        exponents.append(e)
+        inside[0] = True
+        try:
+            return power(x, e)
+        finally:
+            inside[0] = False
+
+    def counting_mul(x, y):
+        products[inside[0]] += 1
+        return mul(x, y)
+
+    monkeypatch.setattr(b.FQ12, "__pow__", counting_pow)
+    monkeypatch.setattr(b.FQ12, "__mul__", counting_mul)
+    b.pairing(b.G2, b.G1)
+    final_exp = (b.FIELD_MODULUS**12 - 1) // b.CURVE_ORDER
+    assert exponents == [final_exp]
+    # The Miller loop squares f at every step; the final power squares at
+    # every bit of its exponent.
+    assert products[False] >= 2 * b.ATE_LOOP_COUNT.bit_length() - 2
+    assert products[True] >= final_exp.bit_length()
