@@ -1,9 +1,11 @@
 """Minimal BLS12-381 arithmetic backend.
 
 Affine curve arithmetic over the base field tower Fq -> Fq2 -> Fq12, the
-ate pairing with a by-the-book final exponentiation, hash-to-curve for G2
-(expand_message_xmd + Shallue-van de Woestijne map + cofactor clearing),
-and ZCash-convention compressed point encodings.
+ate pairing (a Miller loop on the twist E'(Fq2) with sparse line values, and
+a final exponentiation split into an easy part and an exact x-power chain
+for the hard part), hash-to-curve for G2 (expand_message_xmd +
+Shallue-van de Woestijne map + cofactor clearing), and ZCash-convention
+compressed point encodings.
 
 The endomorphisms sigma of E and psi of the twist E' make the subgroup
 checks and cofactor clearing cheap: the G1 and G2 checks compare sigma(P)
@@ -203,7 +205,7 @@ class FQP:
 
     def __pow__(self, e):
         if e < 0:
-            return self.inv() ** (-e)
+            raise ValueError("negative exponent; invert first")
         result = self.one()
         base = self
         while e:
@@ -261,13 +263,36 @@ class FQ12(FQP):
     degree = 12
     modulus_coeffs = (2, 0, 0, 0, 0, 0, -2, 0, 0, 0, 0, 0)
 
+    def __pow__(self, e):
+        # The pairing's final exponentiation takes the chain below; every
+        # other power is plain square-and-multiply. perfbench times the
+        # final exponentiation by wrapping this method.
+        if e != _FINAL_EXP:
+            return FQP.__pow__(self, e)
+        if not any(self.coeffs):
+            return self  # 0^e = 0; the easy part would divide by zero
+        return _final_exponentiation(self)
+
+    def conjugate(self):
+        """f(-w), which is f^(q^6): it negates the odd coefficients."""
+        return FQ12([-c if i % 2 else c for i, c in enumerate(self.coeffs)])
+
+    def frobenius(self):
+        """f^q. The coefficients lie in Fq, so only the basis moves:
+        (w^i)^q = (w^q)^i, with w^q = gamma w."""
+        out = [0] * 12
+        for c, row in zip(self.coeffs, _FROBENIUS):
+            for j, t in row:
+                out[j] += c * t
+        return FQ12(out)
+
     def inv(self):
         # The maps w -> zeta w (zeta^6 = 1) fix the modulus: they are the
         # automorphisms of Fq12 over Fq2 = Fq[w^6]. With f_bar = f(-w),
         # g = f f_bar is even in w, and h = g(zeta w) g(zeta^2 w) scales g's
         # w^(2k) coefficient by BETA^k and BETA^(2k) (zeta^2 = BETA). The
         # norm N = g h = n0 + n6 w^6 lies in Fq2, and 1/f = f_bar h / N.
-        f_bar = FQ12([-c if i % 2 else c for i, c in enumerate(self.coeffs)])
+        f_bar = self.conjugate()
         g = self * f_bar
         h = FQ12([c * s for c, s in zip(g.coeffs, _ZETA_SCALES[0])]) * FQ12(
             [c * s for c, s in zip(g.coeffs, _ZETA_SCALES[1])]
@@ -364,10 +389,6 @@ def multiply(pt, n):
     return result
 
 
-def eq(p1, p2):
-    return p1 == p2
-
-
 # ---------------------------------------------------------------------------
 # Endomorphisms and subgroup checks
 # ---------------------------------------------------------------------------
@@ -381,10 +402,14 @@ BETA = FQ(-PARAM_X**5 + 3 * PARAM_X**4 - 3 * PARAM_X**3 + PARAM_X - 2)
 # coefficient (index i = 2k or 2k + 1) of an even element.
 _ZETA_SCALES = [[pow(BETA.n, e * (i // 2), _Q) for i in range(12)] for e in (1, 2)]
 
+# gamma = (1+u)^((q-1)/6) = (w^6)^((q-1)/6), so w^q = gamma w: the
+# Frobenius of Fq12 scales w^i by gamma^i, and psi by powers of 1/gamma.
+_GAMMA = FQ2([1, 1]) ** ((_Q - 1) // 6)
+
 # psi = untwist, Frobenius, twist on E'(Fq2): conjugate both coordinates,
-# then scale them by c1 = 1/(1+u)^((q-1)/3) and c2 = 1/(1+u)^((q-1)/2),
-# both powers of d = 1/(1+u)^((q-1)/6).
-_PSI_D = FQ2([1, 1]) ** -((_Q - 1) // 6)
+# then scale them by c1 = 1/gamma^2 and c2 = 1/gamma^3, both powers of
+# d = 1/gamma.
+_PSI_D = _GAMMA.inv()
 _PSI_C1 = _PSI_D * _PSI_D
 _PSI_C2 = _PSI_C1 * _PSI_D
 
@@ -418,64 +443,95 @@ def subgroup_check_g2(pt):
 
 
 # ---------------------------------------------------------------------------
-# Pairing (ate pairing, final exponentiation by the full exponent)
+# Pairing: a Miller loop on the twist and a split final exponentiation
 # ---------------------------------------------------------------------------
 
-_W = FQ12([0, 1] + [0] * 10)
-_W2 = _W * _W
-_W3 = _W2 * _W
 ATE_LOOP_COUNT = -PARAM_X
 # Loop from the bit below the MSB; initializing R = Q consumes the MSB.
 _LOG_ATE = ATE_LOOP_COUNT.bit_length() - 2
 _FINAL_EXP = (FIELD_MODULUS**12 - 1) // CURVE_ORDER
 
 
-def twist(pt):
-    """Map a point of E'(Fq2) into E(Fq12)."""
-    if pt is None:
-        return None
-    x, y = pt
-    # Embed a + b*u as (a - b) + b * w^6, since u = w^6 - 1.
-    xc = [x.coeffs[0] - x.coeffs[1], x.coeffs[1]]
-    yc = [y.coeffs[0] - y.coeffs[1], y.coeffs[1]]
-    nx = FQ12([xc[0]] + [0] * 5 + [xc[1]] + [0] * 5)
-    ny = FQ12([yc[0]] + [0] * 5 + [yc[1]] + [0] * 5)
-    # M-twist with w^6 = 1 + u: untwist by dividing out w^2 and w^3.
-    return (nx / _W2, ny / _W3)
+def _frobenius_table():
+    # Row i holds the nonzero coefficients (index, value) of (w^q)^i, where
+    # w^q = gamma w = (g0 - g1) w + g1 w^7 for gamma = g0 + g1 u.
+    g0, g1 = _GAMMA.coeffs
+    w_q = FQ12([0, g0 - g1, 0, 0, 0, 0, 0, g1, 0, 0, 0, 0])
+    powers = [FQ12.one()]
+    for _ in range(11):
+        powers.append(powers[-1] * w_q)
+    return [[(j, c) for j, c in enumerate(t.coeffs) if c] for t in powers]
 
 
-def cast_g1_to_fq12(pt):
-    if pt is None:
-        return None
-    x, y = pt
-    return (FQ12([x.n] + [0] * 11), FQ12([y.n] + [0] * 11))
+_FROBENIUS = _frobenius_table()
 
 
-def _linefunc(p1, p2, t):
-    x1, y1 = p1
-    x2, y2 = p2
-    xt, yt = t
+def _miller_step(f, t, s, p):
+    """Multiply f by the line through T and S (the tangent when T = S) at
+    P, and return it with T + S.
+
+    With T, S on E'(Fq2) and the untwist (x, y) -> (x / w^2, y / w^3), the
+    line at P = (xp, yp), times w^3, is (y_T - lam x_T) + lam xp w^2 - yp w^3:
+    five nonzero coefficients, at w^0 and w^6, w^2 and w^8, and w^3, so the
+    product skips the other seven. The factor w^3 lies in Fq4. A line
+    through O and a vertical line lie in Fq6. The final exponentiation sends
+    all of these to one, so they are dropped.
+    """
+    if t is None:
+        return f, s
+    (x1, y1), (x2, y2) = t, s
     if x1 != x2:
-        m = (y2 - y1) / (x2 - x1)
-        return m * (xt - x1) - (yt - y1)
-    if y1 == y2:
-        m = (x1 * x1 * 3) / (y1 * 2)
-        return m * (xt - x1) - (yt - y1)
-    return xt - x1
+        lam = (y2 - y1) / (x2 - x1)
+    elif y1 == y2:
+        lam = (x1 * x1 * 3) / (y1 * 2)  # y1 != 0: E'(Fq2) has odd order
+    else:
+        return f, None
+    xp, yp = p
+    c0, c1 = (y1 - lam * x1).coeffs
+    d0, d1 = (lam * xp).coeffs
+    # a + b u sits at w^k as (a - b) w^k + b w^(k+6), since u = w^6 - 1.
+    line = FQ12([c0 - c1, 0, d0 - d1, -yp.n, 0, 0, c1, 0, d1, 0, 0, 0])
+    x3 = lam * lam - x1 - x2
+    return line * f, (x3, lam * (x1 - x3) - y1)
 
 
-def miller_loop(q_tw, p_cast):
-    if q_tw is None or p_cast is None:
-        return FQ12.one()
-    r = q_tw
+def miller_loop(q, p):
+    """The ate Miller function f_{|x|,Q}(P) for Q on E'(Fq2) and P on
+    E(Fq), both not O, up to factors in proper subfields of Fq12.
+
+    R stays on the twist in affine coordinates. When R reaches O (Q of
+    small order), the steps through O contribute nothing and R restarts
+    from Q at the next set bit.
+    """
     f = FQ12.one()
+    r = q
     for i in range(_LOG_ATE, -1, -1):
-        f = f * f * _linefunc(r, r, p_cast)
-        r = double(r)
-        if ATE_LOOP_COUNT & (2**i):
-            f = f * _linefunc(r, q_tw, p_cast)
-            r = add(r, q_tw)
-    return f**_FINAL_EXP
+        f, r = _miller_step(f * f, r, r, p)
+        if ATE_LOOP_COUNT >> i & 1:
+            f, r = _miller_step(f, r, q, p)
+    return f
+
+
+def _pow_x(f):
+    # f^x for f in the cyclotomic subgroup, where x < 0 and 1/f = f^(q^6).
+    return (f**ATE_LOOP_COUNT).conjugate()
+
+
+def _final_exponentiation(f):
+    """f^((q^12 - 1)/r), exactly, for f != 0.
+
+    (q^12 - 1)/r = (q^6 - 1)(q^2 + 1) d with d = (q^4 - q^2 + 1)/r. The easy
+    part takes one inverse and a q^2-Frobenius, and leaves m in the
+    cyclotomic subgroup, where powers of q are Frobenius maps and inverses
+    are conjugates. The hard part uses d = H1 (x + q)(x^2 + q^2 - 1) + 1
+    with H1 = (x - 1)^2 / 3 (Hayashida-Hayasaka-Teruya, eprint 2020/875).
+    """
+    m = f.conjugate() * f.inv()
+    m = m.frobenius().frobenius() * m
+    a = m**H1
+    a = _pow_x(a) * a.frobenius()
+    a = _pow_x(_pow_x(a)) * a.frobenius().frobenius() * a.conjugate()
+    return a * m
 
 
 def pairing(q, p):
@@ -484,7 +540,9 @@ def pairing(q, p):
         raise ValueError("G1 point not on curve")
     if q is not None and not is_on_curve(q, B2):
         raise ValueError("G2 point not on curve")
-    return miller_loop(twist(q), cast_g1_to_fq12(p))
+    if q is None or p is None:
+        return FQ12.one()
+    return miller_loop(q, p) ** _FINAL_EXP
 
 
 GT_ONE = FQ12.one()

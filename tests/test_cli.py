@@ -156,6 +156,29 @@ def test_batch_verify_file(capsys, tmp_path):
     assert doc["metrics"]["pairings_saved"] == 2  # n - 1 for n = 3
 
 
+def test_batch_verify_of_a_torsion_signature_is_a_report(capsys, tmp_path, production):
+    """A document may waive the subgroup check, so a signature of order 13
+    reaches the pairing, whose Miller loop then passes through O: the
+    command still ends in a report and exit code 1, not a traceback."""
+    from beaconlab import batch
+
+    sk = bls.keygen(b"cli-torsion" + b"\x00" * 21, suite=production)
+    msg = b"torsion signature"
+    sig = bls.BlsSignature(production.small_order_g2(13))
+    coeffs = batch.BatchCoefficients.generate(b"\x0d" * 32, 1, order=production.order)
+    assert coeffs.values[0] % 13  # S* = r_1 T is not O, so it is paired
+    doc = batch.batch_to_json(
+        [batch.BatchItem(sig, [(bls.sk_to_pk(sk), msg)])], coeffs, enforce_subgroup=False
+    )
+    path = tmp_path / "torsion.json"
+    path.write_text(json.dumps(doc))
+    code, report = run_json(
+        capsys, "--suite", "bls12-381", "bls", "batch-verify", "--file", str(path)
+    )
+    assert code == 1 and report["outcome"] == "rejected"
+    assert report["metrics"]["accepted"] is False
+
+
 # ---------------------------------------------------------------------------
 # Attack demos: each report shows vulnerable and mitigated modes together
 # ---------------------------------------------------------------------------

@@ -108,6 +108,13 @@ def test_zero_has_no_inverse(zero):
         1 / zero
 
 
+def test_negative_powers_are_refused():
+    # Square-and-multiply would never end on a negative exponent.
+    for x in (b.FQ2([1, 1]), b.FQ12.one()):
+        with pytest.raises(ValueError):
+            x**-1
+
+
 # Self-vectors, not interoperability KATs: computed with the definitional
 # Fermat and polynomial-Euclid inverses (commit 184fe58). Every inverse is
 # unique, so the closed forms must reproduce them bit for bit.

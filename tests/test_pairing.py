@@ -1,7 +1,10 @@
 """Backend curve and pairing arithmetic."""
 
+import random
+
 import pytest
 
+from beaconlab import bls
 from beaconlab import bls12381 as b
 from beaconlab.suites import Bls12381Suite
 
@@ -220,28 +223,169 @@ def test_clear_cofactor_g2_is_multiplication_by_h_eff(raw_map_points):
 def test_pairing_goes_through_the_traced_fq12_hooks(monkeypatch):
     """perfbench's traced run counts Fq12 products by patching FQ12.__mul__
     and times the final exponentiation by patching FQ12.__pow__ for the
-    exponent (q^12 - 1)/r, so a pairing must reach both."""
+    exponent (q^12 - 1)/r, so a pairing must make exactly one such call and
+    multiply through FQ12.__mul__ both inside and outside it."""
     power, mul = b.FQ12.__pow__, b.FQ12.__mul__
-    exponents, products, inside = [], [0, 0], [False]
+    final_exp = (b.FIELD_MODULUS**12 - 1) // b.CURVE_ORDER
+    finals, products, inside = [0], [0, 0], [0]
 
     def counting_pow(x, e):
-        exponents.append(e)
-        inside[0] = True
+        final = e == final_exp
+        finals[0] += final
+        inside[0] += final
         try:
             return power(x, e)
         finally:
-            inside[0] = False
+            inside[0] -= final
 
     def counting_mul(x, y):
-        products[inside[0]] += 1
+        products[inside[0] > 0] += 1
         return mul(x, y)
 
     monkeypatch.setattr(b.FQ12, "__pow__", counting_pow)
     monkeypatch.setattr(b.FQ12, "__mul__", counting_mul)
     b.pairing(b.G2, b.G1)
-    final_exp = (b.FIELD_MODULUS**12 - 1) // b.CURVE_ORDER
-    assert exponents == [final_exp]
-    # The Miller loop squares f at every step; the final power squares at
-    # every bit of its exponent.
+    assert finals[0] == 1
+    # The Miller loop squares f at every step, outside the final power.
     assert products[False] >= 2 * b.ATE_LOOP_COUNT.bit_length() - 2
-    assert products[True] >= final_exp.bit_length()
+    assert products[True] >= 1
+
+
+def test_verification_calls_the_traced_pairing(production, monkeypatch):
+    """perfbench's traced run spans bls12381.pairing: a production
+    core_verify pairs twice and a two-signer aggregate_verify three times."""
+    pairing, calls = b.pairing, [0]
+
+    def counting_pairing(q, p):
+        calls[0] += 1
+        return pairing(q, p)
+
+    sks = [bls.keygen(b"pairing-span-%d" % i + b"\x00" * 18, suite=production) for i in (0, 1)]
+    pks = [bls.sk_to_pk(sk) for sk in sks]
+    msgs = [b"first", b"second"]
+    sigs = [bls.sign(sk, m) for sk, m in zip(sks, msgs)]
+    monkeypatch.setattr(b, "pairing", counting_pairing)
+    assert bls.core_verify(pks[0], msgs[0], sigs[0])
+    assert calls[0] == 2
+    calls[0] = 0
+    assert bls.aggregate_verify(pks, msgs, bls.aggregate(sigs))
+    assert calls[0] == 3
+
+
+# ---------------------------------------------------------------------------
+# The definitional pairing, oracle for the fast one: the Miller loop on
+# E(Fq12) through the untwisted G2 point, and the final exponentiation as
+# one square-and-multiply power.
+# ---------------------------------------------------------------------------
+
+_W = b.FQ12([0, 1] + [0] * 10)
+_W2 = _W * _W
+_W3 = _W2 * _W
+
+
+def twist(pt):
+    """Map a point of E'(Fq2) into E(Fq12)."""
+    if pt is None:
+        return None
+    x, y = pt
+    # Embed a + b*u as (a - b) + b * w^6, since u = w^6 - 1.
+    xc = [x.coeffs[0] - x.coeffs[1], x.coeffs[1]]
+    yc = [y.coeffs[0] - y.coeffs[1], y.coeffs[1]]
+    nx = b.FQ12([xc[0]] + [0] * 5 + [xc[1]] + [0] * 5)
+    ny = b.FQ12([yc[0]] + [0] * 5 + [yc[1]] + [0] * 5)
+    # M-twist with w^6 = 1 + u: untwist by dividing out w^2 and w^3.
+    return (nx / _W2, ny / _W3)
+
+
+def cast_g1_to_fq12(pt):
+    if pt is None:
+        return None
+    x, y = pt
+    return (b.FQ12([x.n] + [0] * 11), b.FQ12([y.n] + [0] * 11))
+
+
+def _linefunc(p1, p2, t):
+    x1, y1 = p1
+    x2, y2 = p2
+    xt, yt = t
+    if x1 != x2:
+        m = (y2 - y1) / (x2 - x1)
+        return m * (xt - x1) - (yt - y1)
+    if y1 == y2:
+        m = (x1 * x1 * 3) / (y1 * 2)
+        return m * (xt - x1) - (yt - y1)
+    return xt - x1
+
+
+def oracle_miller_loop(q, p):
+    """f_{|x|,Q}(P) on E(Fq12), lines and verticals included; it cannot
+    step through O, so Q must not reach it along the loop."""
+    if q is None or p is None:
+        return b.FQ12.one()
+    q_tw, p_cast = twist(q), cast_g1_to_fq12(p)
+    r = q_tw
+    f = b.FQ12.one()
+    for i in range(b._LOG_ATE, -1, -1):
+        f = f * f * _linefunc(r, r, p_cast)
+        r = b.double(r)
+        if b.ATE_LOOP_COUNT & (2**i):
+            f = f * _linefunc(r, q_tw, p_cast)
+            r = b.add(r, q_tw)
+    return f
+
+
+def _random_fq12(seed):
+    rnd = random.Random(seed)
+    return b.FQ12([rnd.randrange(b.FIELD_MODULUS) for _ in range(12)])
+
+
+def test_frobenius_and_conjugate_are_powers_of_q():
+    f = _random_fq12(1)
+    q = b.FIELD_MODULUS
+    assert f.frobenius() == b.FQP.__pow__(f, q)
+    assert f.conjugate() == b.FQP.__pow__(f, q**6)
+
+
+def test_final_exponentiation_is_the_full_power():
+    for seed in (2, 3):  # arbitrary, so not in the cyclotomic subgroup
+        f = _random_fq12(seed)
+        assert f**b._FINAL_EXP == b.FQP.__pow__(f, b._FINAL_EXP)
+    zero = b.FQ12.zero()
+    assert zero**b._FINAL_EXP == zero
+    assert b.FQ12.one() ** b._FINAL_EXP == b.FQ12.one()
+
+
+def _pairing_inputs():
+    """(id, inputs) pairs; inputs maps the production suite to (Q, P)."""
+    rnd = random.Random(13)
+    cases = []
+    for i in range(3):
+        k, m = rnd.randrange(1, b.CURVE_ORDER), rnd.randrange(1, b.CURVE_ORDER)
+        cases.append(
+            (f"random-{i}", lambda s, k=k, m=m: (b.multiply(b.G2, k), b.multiply(b.G1, m)))
+        )
+    cases.append(("g2-identity", lambda s: (None, b.G1)))
+    cases.append(("g1-identity", lambda s: (b.G2, None)))
+    for p in Bls12381Suite.G2_TORSION_PRIMES:
+        cases.append(
+            (f"g2-plus-{p}", lambda s, p=p: (b.add(b.G2, s.small_order_g2(p).value), b.G1))
+        )
+    # Alone, the order-13 point reaches O, which the oracle cannot step through.
+    for p in Bls12381Suite.G2_TORSION_PRIMES[1:]:
+        cases.append((f"torsion-{p}", lambda s, p=p: (s.small_order_g2(p).value, b.G1)))
+    return [pytest.param(inputs, id=name) for name, inputs in cases]
+
+
+@pytest.mark.parametrize("inputs", _pairing_inputs())
+def test_pairing_matches_the_e_fq12_oracle(production, inputs):
+    q, p = inputs(production)
+    assert b.pairing(q, p) == oracle_miller_loop(q, p) ** b._FINAL_EXP
+
+
+def test_pairing_steps_through_o_on_the_order_13_point(production):
+    # R = [k]Q for each leading-bit prefix k of |x|; one of them is 0 mod 13.
+    prefixes = [b.ATE_LOOP_COUNT >> i for i in range(b._LOG_ATE + 1)]
+    assert any(k % 13 == 0 for k in prefixes)
+    e = b.pairing(production.small_order_g2(13).value, b.G1)
+    assert isinstance(e, b.FQ12) and e != b.FQ12.zero()
+    assert e**b.CURVE_ORDER == b.GT_ONE
