@@ -8,19 +8,27 @@ passive observer (and the forward-secrecy probe) can parse everything.
 The handshake authdata declares ``sig-size`` and ``eph-key-size``; those
 fields are NOT covered by the identity signature, which is exactly the
 weakness the optional transcript-hash binding closes.
+
+Each side is a party object: ``_Initiator`` and ``_Responder`` write their
+own packets, and every packet has one reader on their shared base
+``_Party``. A party knows the public keys by role and reaches private keys
+only through its DH callable, so the forward-secrecy probe runs these same
+readers as a passive ``_Party`` holding only the compromised keys, and the
+replay feeds a recorded packet to a fresh ``_Responder``.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from .errors import HandshakeRejected, ParseError
 from .kdf import hkdf_sha256
-from .noise import DHKeypair, IdentityKeypair, verify_identity_sig
+from .noise import DHKeypair, IdentityKeypair, keypair_dh, verify_identity_sig
 from .transcript import DirectLink
 
 PROTOCOL_ID = b"discv5"
@@ -33,6 +41,20 @@ FLAG_HANDSHAKE = 2
 ID_SIGNATURE_PREFIX = b"discovery v5 identity proof"
 HKDF_LABEL_V5 = b"discv5 v5 key agreement"
 HKDF_LABEL_KK = b"discv5 kk key agreement"
+
+# Each variant's HKDF label and the DH inputs of its two key derivations, as
+# (initiator key, responder key) pairs: the handshake key seals the
+# handshake message, the session keys everything after it.
+SCHEDULES = {
+    "v5": (HKDF_LABEL_V5, {
+        "handshake": [("ephemeral", "static")],
+        "session": [("ephemeral", "static")],
+    }),
+    "kk": (HKDF_LABEL_KK, {
+        "handshake": [("ephemeral", "static"), ("static", "static")],
+        "session": [("ephemeral", "ephemeral"), ("ephemeral", "static")],
+    }),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +181,10 @@ class SessionKeys:
     recipient_key: bytes  # 16 bytes
     label: bytes
 
+    def key(self, direction: str) -> bytes:
+        """The key that seals packets travelling in ``direction``."""
+        return self.initiator_key if direction == "i->r" else self.recipient_key
+
 
 def derive_session_keys(dh_outputs, challenge_data: bytes, src_id: bytes, dest_id: bytes,
                         label: bytes, transcript_hash: bytes = b"") -> SessionKeys:
@@ -188,29 +214,11 @@ def id_signature_input(challenge_data: bytes, ephemeral_pubkey: bytes, dest_id: 
 # ---------------------------------------------------------------------------
 
 
-def _encrypt_message(key: bytes, nonce: bytes, header_and_auth: bytes, payload: bytes) -> bytes:
-    return AESGCM(key).encrypt(nonce, payload, header_and_auth)
-
-
 def _decrypt_message(key: bytes, nonce: bytes, header_and_auth: bytes, ciphertext: bytes) -> bytes:
     try:
         return AESGCM(key).decrypt(nonce, ciphertext, header_and_auth)
     except InvalidTag:
         raise HandshakeRejected("aead", "message did not decrypt") from None
-
-
-def build_message_packet(key: bytes, nonce: bytes, src_id: bytes, payload: bytes) -> bytes:
-    header = PacketHeader(FLAG_MESSAGE, nonce, 32).encode() + src_id
-    return header + _encrypt_message(key, nonce, header, payload)
-
-
-def open_message_packet(key: bytes, packet: bytes) -> bytes:
-    header, rest = PacketHeader.decode(packet)
-    if header.flag != FLAG_MESSAGE:
-        raise ParseError("not an ordinary message packet")
-    authdata, ciphertext = rest[: header.authdata_size], rest[header.authdata_size :]
-    ad = packet[: PacketHeader.HEADER_LEN] + authdata
-    return _decrypt_message(key, header.nonce, ad, ciphertext)
 
 
 # ---------------------------------------------------------------------------
@@ -232,13 +240,17 @@ class Discv5Config:
             ctr += 1
         return out[:n]
 
+    @cached_property
+    def ephemeral_seed(self) -> bytes:
+        """The X25519 private key of this node's handshake ephemeral."""
+        return self._rand(b"ephemeral", 32)
+
 
 @dataclass
 class Discv5Result:
     initiator_keys: SessionKeys
     responder_keys: SessionKeys
     transcript: object
-    meta: dict = field(default_factory=dict)
 
 
 def inflate_eph_key_size(packet: bytes, pad: int) -> bytes:
@@ -262,6 +274,196 @@ def inflate_eph_key_size(packet: bytes, pad: int) -> bytes:
     return header.encode() + bytes(auth) + ciphertext
 
 
+def identity_meta(role: str, identity: NodeIdentity) -> dict:
+    """The public half of ``identity``, as transcript meta records ``role``."""
+    return {
+        f"{role}_node_id": identity.node_id.hex(),
+        f"{role}_static_pub": identity.static.public_bytes.hex(),
+        f"{role}_signing_pub": identity.signing.public_bytes.hex(),
+    }
+
+
+# The AEAD of the handshake message binds the fixed header up to the nonce;
+# the size fields and the authdata are neither signed nor authenticated.
+_HANDSHAKE_AD_LEN = PacketHeader.HEADER_LEN - 2
+
+
+class _Party:
+    """What both sides share: the packet readers and the key schedule.
+
+    A party is built from the session ``meta`` (the variant, the binding
+    and both identities' public halves) and a DH callable (see
+    :func:`beaconlab.noise.keypair_dh`); derived keys are None when ``dh``
+    cannot compute one of their inputs. ``view`` is the wire bytes as this
+    party sent or received them. A bare ``_Party`` is a passive observer:
+    it can read every packet, and verifies no signature.
+    """
+
+    def __init__(self, meta: dict, dh):
+        self.variant = meta["variant"]
+        self.binding = meta["transcript_binding"]
+        roles = ("initiator", "responder")
+        self.ids = tuple(bytes.fromhex(meta[r + "_node_id"]) for r in roles)
+        self.pub = {r + "_static": bytes.fromhex(meta[r + "_static_pub"]) for r in roles}
+        self.dh = dh
+        self.shared = {}  # (initiator role, responder role) -> DH output
+        self.derived = {}  # (DH outputs, transcript hash) -> keys
+        self.view = []
+        self.challenge_data = None  # the WHOAREYOU wire bytes
+        self.keys = None  # session keys, from the nodes response on
+
+    def _agree(self, x: str, y: str):
+        pair = ("initiator_" + x, "responder_" + y)
+        if pair not in self.shared:
+            self.shared[pair] = self.dh(pair[0], self.pub[pair[0]], pair[1], self.pub[pair[1]])
+        return self.shared[pair]
+
+    def _derive(self, phase: str) -> SessionKeys | None:
+        label, schedule = SCHEDULES[self.variant]
+        outputs = [self._agree(x, y) for x, y in schedule[phase]]
+        if None in outputs:
+            return None
+        # Transcript binding mixes this party's view of the first three
+        # packets into the session keys, authenticating the size fields.
+        th = transcript_hash(self.view[:3]) if self.binding and phase == "session" else b""
+        if (tuple(outputs), th) not in self.derived:  # v5 unbound: the same keys twice
+            self.derived[tuple(outputs), th] = derive_session_keys(
+                outputs, self.challenge_data, *self.ids, label, th
+            )
+        return self.derived[tuple(outputs), th]
+
+    def _sent(self, packet: bytes) -> bytes:
+        self.view.append(packet)
+        return packet
+
+    def _write_message(self, direction, nonce, authdata, payload) -> bytes:
+        header = PacketHeader(FLAG_MESSAGE, nonce, len(authdata)).encode() + authdata
+        sealed = AESGCM(self.keys.key(direction)).encrypt(nonce, payload, header)
+        return self._sent(header + sealed)
+
+    def _read(self, packet: bytes, flag: int, decode=bytes):
+        """Parse ``packet`` as a ``flag`` packet and record it; return
+        (header, decoded authdata, ciphertext)."""
+        try:
+            header, rest = PacketHeader.decode(packet)
+            if header.flag != flag:
+                raise ParseError(f"flag {header.flag} where {flag} was expected")
+            authdata = decode(rest[: header.authdata_size])
+        except ParseError as exc:
+            raise HandshakeRejected("parse", str(exc)) from None
+        self.view.append(packet)
+        return header, authdata, rest[header.authdata_size :]
+
+    @staticmethod
+    def _open(keys, direction, nonce, ad, ciphertext):
+        if keys is None:
+            return None  # a key this party cannot derive: the packet stays sealed
+        return _decrypt_message(keys.key(direction), nonce, ad, ciphertext)
+
+    def _check_identity(self, ephemeral_pubkey: bytes, id_signature: bytes):
+        """The responder verifies the initiator's identity; an observer does not."""
+
+    def write_transport(self, i: int, payload: bytes) -> bytes:
+        """Seal a transport payload (either party, after the handshake)."""
+        nonce = self.cfg._rand(b"tp-nonce-%d" % i, 12)
+        return self._write_message(self.SENDS, nonce, self.own_id, payload)
+
+    # -- readers, in wire order ---------------------------------------------
+
+    def read_trigger(self, packet: bytes):
+        # B answers any packet with a challenge; the trigger is not parsed.
+        self.view.append(packet)
+
+    def read_whoareyou(self, packet: bytes):
+        self._read(packet, FLAG_WHOAREYOU, Challenge.decode)
+        self.challenge_data = packet
+
+    def read_handshake(self, packet: bytes) -> bytes | None:
+        header, auth, ciphertext = self._read(packet, FLAG_HANDSHAKE, HandshakeAuthdata.decode)
+        eph = auth.ephemeral_pubkey[:32]  # lenient: the declared size may pad
+        self._check_identity(eph, auth.id_signature[:64])
+        self.pub["initiator_ephemeral"] = eph
+        ad = packet[:_HANDSHAKE_AD_LEN]
+        return self._open(self._derive("handshake"), "i->r", header.nonce, ad, ciphertext)
+
+    def read_nodes(self, packet: bytes) -> bytes | None:
+        header, authdata, ciphertext = self._read(packet, FLAG_MESSAGE)
+        if self.variant == "kk":
+            # B's fresh ephemeral rides in the clear after its node id.
+            self.pub["responder_ephemeral"] = authdata[32:64]
+        self.keys = self._derive("session")
+        ad = packet[: PacketHeader.HEADER_LEN + len(authdata)]
+        try:
+            return self._open(self.keys, "r->i", header.nonce, ad, ciphertext)
+        except HandshakeRejected:
+            if self.binding:
+                raise HandshakeRejected("transcript", "transcript hashes diverged") from None
+            raise
+
+    def read_transport(self, packet: bytes, direction: str) -> bytes | None:
+        header, authdata, ciphertext = self._read(packet, FLAG_MESSAGE)
+        ad = packet[: PacketHeader.HEADER_LEN + len(authdata)]
+        return self._open(self.keys, direction, header.nonce, ad, ciphertext)
+
+
+class _Initiator(_Party):
+    SENDS = "i->r"
+
+    def __init__(self, cfg: Discv5Config, meta: dict):
+        eph = DHKeypair.from_seed(cfg.ephemeral_seed)
+        own = {"initiator_static": cfg.identity.static, "initiator_ephemeral": eph}
+        super().__init__(meta, keypair_dh(own))
+        self.pub.update((role, key.public_bytes) for role, key in own.items())
+        self.cfg, self.own_id = cfg, self.ids[0]
+
+    def write_trigger(self) -> bytes:
+        # A identifies itself and asks; B has no session yet.
+        header = PacketHeader(FLAG_MESSAGE, self.cfg._rand(b"trigger-nonce", 12), 32).encode()
+        return self._sent(header + self.ids[0] + b"FINDNODE")
+
+    def write_handshake(self) -> bytes:
+        eph = self.pub["initiator_ephemeral"]
+        signed = id_signature_input(self.challenge_data, eph, self.ids[1])
+        sig = self.cfg.identity.signing.sign(signed)
+        authdata = HandshakeAuthdata(self.ids[0], sig, eph).encode()
+        nonce = self.cfg._rand(b"handshake-nonce", 12)
+        header = PacketHeader(FLAG_HANDSHAKE, nonce, len(authdata)).encode()
+        key = self._derive("handshake").initiator_key
+        sealed = AESGCM(key).encrypt(nonce, b"FINDNODE", header[:_HANDSHAKE_AD_LEN])
+        return self._sent(header + authdata + sealed)
+
+
+class _Responder(_Party):
+    SENDS = "r->i"
+
+    def __init__(self, cfg: Discv5Config, meta: dict):
+        own = {"responder_static": cfg.identity.static}
+        if meta["variant"] == "kk":  # only the KK schedule uses B's ephemeral
+            own["responder_ephemeral"] = DHKeypair.from_seed(cfg.ephemeral_seed)
+        super().__init__(meta, keypair_dh(own))
+        self.pub.update((role, key.public_bytes) for role, key in own.items())
+        self.cfg, self.own_id = cfg, self.ids[1]
+        self.initiator_signing_pub = bytes.fromhex(meta["initiator_signing_pub"])
+
+    def _check_identity(self, ephemeral_pubkey, id_signature):
+        message = id_signature_input(self.challenge_data, ephemeral_pubkey, self.ids[1])
+        if not verify_identity_sig(self.initiator_signing_pub, message, id_signature):
+            raise HandshakeRejected("signature", "identity signature invalid")
+
+    def write_whoareyou(self) -> bytes:
+        challenge = Challenge(self.cfg._rand(b"id-nonce", 16), 0)
+        header = PacketHeader(FLAG_WHOAREYOU, self.cfg._rand(b"way-nonce", 12), 24).encode()
+        self.challenge_data = self._sent(header + challenge.encode())
+        return self.challenge_data
+
+    def write_nodes(self) -> bytes:
+        # KK: B's fresh ephemeral rides in the clear after its node id, so
+        # that A can derive the eph-eph session keys before decrypting.
+        self.keys = self._derive("session")
+        authdata = self.ids[1] + self.pub.get("responder_ephemeral", b"")
+        return self._write_message("r->i", self.cfg._rand(b"nodes-nonce", 12), authdata, b"NODES")
+
+
 def run_handshake(
     initiator: Discv5Config,
     responder: Discv5Config,
@@ -277,163 +479,32 @@ def run_handshake(
     schedule; ``transcript_binding`` mixes each party's own view of the
     first three wire messages into the transport-key derivation.
     ``tamper_packet`` is an in-flight hook applied to the handshake packet
-    after the initiator sends it and before the responder sees it.
+    after the initiator sends it and before the responder sees it. The
+    transcript meta is written before the first packet, so a failed run
+    still leaves a transcript the probe can read.
     """
-    if variant not in ("v5", "kk"):
+    if variant not in SCHEDULES:
         raise ValueError("variant must be 'v5' or 'kk'")
     link = link if link is not None else DirectLink()
-    a, b = initiator, responder
-    a_id, b_id = a.identity.node_id, b.identity.node_id
-    a_view, b_view = [], []  # each party's own record of the wire bytes
-
-    def send(direction, data, label, flags, tamper=None):
-        sent = data
-        if tamper is not None:
-            data = tamper(data)
-        delivered = link.transfer(direction, data, label, flags)
-        if direction == "i->r":
-            a_view.append(sent)
-            b_view.append(delivered)
-        else:
-            a_view.append(delivered)
-            b_view.append(sent)
-        return delivered
-
-    # 1. FINDNODE trigger: A identifies itself and asks; B has no session.
-    trigger = (
-        PacketHeader(FLAG_MESSAGE, a._rand(b"trigger-nonce", 12), 32).encode()
-        + a_id
-        + b"FINDNODE"
-    )
-    send("i->r", trigger, "findnode-trigger", ("handshake",))
-
-    # 2. WHOAREYOU challenge.
-    challenge = Challenge(b._rand(b"id-nonce", 16), 0)
-    whoareyou = (
-        PacketHeader(FLAG_WHOAREYOU, b._rand(b"way-nonce", 12), 24).encode()
-        + challenge.encode()
-    )
-    send("r->i", whoareyou, "whoareyou", ("handshake",))
-    # The challenge data is the whoareyou wire bytes, as seen by each side.
-    cd_a, cd_b = a_view[1], b_view[1]
-
-    # 3. A: ephemeral keygen, DH, key derivation, identity signature.
-    a_eph = DHKeypair.from_seed(a._rand(b"ephemeral", 32))
-    dh_a = [a_eph.dh(b.identity.static.public_bytes)]
-    if variant == "kk":
-        dh_a.append(a.identity.static.dh(b.identity.static.public_bytes))
-    label = HKDF_LABEL_V5 if variant == "v5" else HKDF_LABEL_KK
-    keys_a = derive_session_keys(dh_a, cd_a, a_id, b_id, label)
-
-    sig = a.identity.signing.sign(id_signature_input(cd_a, a_eph.public_bytes, b_id))
-    authdata = HandshakeAuthdata(a_id, sig, a_eph.public_bytes).encode()
-    hs_nonce = a._rand(b"handshake-nonce", 12)
-    hs_header = PacketHeader(FLAG_HANDSHAKE, hs_nonce, len(authdata)).encode()
-    # The AEAD binds the fixed header fields up to the nonce; the size
-    # fields and the authdata itself are neither signed nor authenticated.
-    hs_packet = (
-        hs_header
-        + authdata
-        + _encrypt_message(keys_a.initiator_key, hs_nonce, hs_header[:21], b"FINDNODE")
-    )
-    hs_packet = send(
-        "i->r", hs_packet, "handshake-message", ("handshake", "handshake-payload"),
-        tamper=tamper_packet,
-    )
-
-    # 4. B: parse, verify signature, derive keys, decrypt, reply.
-    header, rest = PacketHeader.decode(hs_packet)
-    parsed = HandshakeAuthdata.decode(rest[: header.authdata_size])
-    ciphertext = rest[header.authdata_size :]
-    eph_pub = parsed.ephemeral_pubkey[:32]  # lenient: declared size may pad
-    id_sig = parsed.id_signature[:64]
-    if not verify_identity_sig(
-        a.identity.signing.public_bytes,
-        id_signature_input(cd_b, eph_pub, b_id),
-        id_sig,
-    ):
-        raise HandshakeRejected("signature", "identity signature invalid")
-    dh_b = [b.identity.static.dh(eph_pub)]
-    if variant == "kk":
-        dh_b.append(b.identity.static.dh(a.identity.static.public_bytes))
-    keys_b = derive_session_keys(dh_b, cd_b, a_id, b_id, label)
-    _decrypt_message(keys_b.initiator_key, header.nonce, hs_packet[:21], ciphertext)
-
-    # KK: B contributes its own ephemeral; transport keys gain eph-eph.
-    b_eph = None
-    if variant == "kk":
-        b_eph = DHKeypair.from_seed(b._rand(b"ephemeral", 32))
-        dh_b2 = [b_eph.dh(eph_pub), b.identity.static.dh(eph_pub)]
-        keys_b = derive_session_keys(dh_b2, cd_b, a_id, b_id, label)
-
-    # Transcript binding: rebind transport keys to B's view of the first
-    # three wire messages, which authenticates the size fields after all.
-    if transcript_binding:
-        th_b = transcript_hash(b_view[:3])
-        keys_b = derive_session_keys(
-            dh_b2 if variant == "kk" else dh_b,
-            cd_b, a_id, b_id, label, transcript_hash=th_b,
-        )
-
-    # The nodes response. In the KK variant B's fresh ephemeral rides in
-    # the clear-text authdata (after the sender id) so A can derive the
-    # eph-eph transport keys before decrypting.
-    nodes_nonce = b._rand(b"nodes-nonce", 12)
-    nodes_authdata = b_id + (b_eph.public_bytes if b_eph else b"")
-    nodes_header = PacketHeader(FLAG_MESSAGE, nodes_nonce, len(nodes_authdata)).encode()
-    nodes_packet = (
-        nodes_header
-        + nodes_authdata
-        + _encrypt_message(
-            keys_b.recipient_key, nodes_nonce, nodes_header + nodes_authdata, b"NODES"
-        )
-    )
-    nodes_packet = send("r->i", nodes_packet, "nodes-response", ("handshake", "transport"))
-
-    # 5. A: (KK: mix in B's ephemeral), confirm by decrypting.
-    n_header, n_rest = PacketHeader.decode(nodes_packet)
-    th_a = transcript_hash(a_view[:3]) if transcript_binding else b""
-    if variant == "kk":
-        b_eph_pub = n_rest[32:64]
-        dh_a2 = [a_eph.dh(b_eph_pub), a_eph.dh(b.identity.static.public_bytes)]
-        keys_a = derive_session_keys(dh_a2, cd_a, a_id, b_id, label, transcript_hash=th_a)
-    elif transcript_binding:
-        keys_a = derive_session_keys(dh_a, cd_a, a_id, b_id, label, transcript_hash=th_a)
-    try:
-        ad_len = PacketHeader.HEADER_LEN + n_header.authdata_size
-        _decrypt_message(
-            keys_a.recipient_key, n_header.nonce, nodes_packet[:ad_len], nodes_packet[ad_len:]
-        )
-    except HandshakeRejected:
-        if transcript_binding:
-            raise HandshakeRejected("transcript", "transcript hashes diverged") from None
-        raise
-
-    # Post-handshake transport phase.
-    for i, payload in enumerate(a.transport_payloads):
-        pkt = build_message_packet(
-            keys_a.initiator_key, a._rand(b"tp-nonce-%d" % i, 12), a_id, payload
-        )
-        pkt = send("i->r", pkt, f"transport-i{i}", ("transport",))
-        open_message_packet(keys_b.initiator_key, pkt)
-    for i, payload in enumerate(b.transport_payloads):
-        pkt = build_message_packet(
-            keys_b.recipient_key, b._rand(b"tp-nonce-%d" % i, 12), b_id, payload
-        )
-        pkt = send("r->i", pkt, f"transport-r{i}", ("transport",))
-        open_message_packet(keys_a.recipient_key, pkt)
-
+    meta = {"variant": variant, "transcript_binding": transcript_binding}
+    meta.update(identity_meta("initiator", initiator.identity))
+    meta.update(identity_meta("responder", responder.identity))
     link.transcript.protocol = f"discv5-{variant}"
-    link.transcript.meta.update(
-        {
-            "variant": variant,
-            "transcript_binding": transcript_binding,
-            "initiator_node_id": a_id.hex(),
-            "responder_node_id": b_id.hex(),
-            "initiator_static_pub": a.identity.static.public_bytes.hex(),
-            "responder_static_pub": b.identity.static.public_bytes.hex(),
-            "initiator_signing_pub": a.identity.signing.public_bytes.hex(),
-            "responder_signing_pub": b.identity.signing.public_bytes.hex(),
-        }
-    )
-    return Discv5Result(keys_a, keys_b, link.transcript, {"challenge_data": cd_b.hex()})
+    link.transcript.meta.update(meta)
+    a, b = _Initiator(initiator, meta), _Responder(responder, meta)
+    send = link.transfer
+
+    b.read_trigger(send("i->r", a.write_trigger(), "findnode-trigger", ("handshake",)))
+    a.read_whoareyou(send("r->i", b.write_whoareyou(), "whoareyou", ("handshake",)))
+    packet = a.write_handshake()
+    if tamper_packet is not None:
+        packet = tamper_packet(packet)
+    b.read_handshake(send("i->r", packet, "handshake-message", ("handshake", "handshake-payload")))
+    a.read_nodes(send("r->i", b.write_nodes(), "nodes-response", ("handshake", "transport")))
+    for i, payload in enumerate(initiator.transport_payloads):
+        packet = a.write_transport(i, payload)
+        b.read_transport(send("i->r", packet, f"transport-i{i}", ("transport",)), "i->r")
+    for i, payload in enumerate(responder.transport_payloads):
+        packet = b.write_transport(i, payload)
+        a.read_transport(send("r->i", packet, f"transport-r{i}", ("transport",)), "r->i")
+    return Discv5Result(a.keys, b.keys, link.transcript)

@@ -71,10 +71,34 @@ class DHKeypair:
         return cls(priv, priv.public_key().public_bytes_raw())
 
     def dh(self, peer_public: bytes) -> bytes:
-        return self.private.exchange(X25519PublicKey.from_public_bytes(peer_public))
+        return x25519(self.private, peer_public)
 
     def private_bytes(self) -> bytes:
         return self.private.private_bytes_raw()
+
+
+def x25519(private: X25519PrivateKey, peer_public: bytes) -> bytes:
+    """X25519 agreement. A peer key of the wrong length, or of low order
+    (the all-zero output), is a protocol violation."""
+    try:
+        return private.exchange(X25519PublicKey.from_public_bytes(peer_public))
+    except ValueError:
+        raise ProtocolViolation("peer key is not a usable X25519 public key") from None
+
+
+def keypair_dh(keys: dict):
+    """The DH callable of a party holding ``keys`` (role -> DHKeypair):
+    ``dh(role_x, pub_x, role_y, pub_y)`` agrees through whichever of the
+    two named keys the party holds, and returns None if it holds neither."""
+
+    def dh(role_x, pub_x, role_y, pub_y):
+        if role_x in keys:
+            return keys[role_x].dh(pub_y)
+        if role_y in keys:
+            return keys[role_y].dh(pub_x)
+        return None
+
+    return dh
 
 
 @dataclass
@@ -335,17 +359,34 @@ class HandshakeResult:
 
 
 class _XXParty:
-    def __init__(self, cfg: PeerConfig, initiator: bool, mode: BindingMode | None, nonce_cap):
+    """One side of the XX handshake, or (``cfg`` None) a passive observer
+    that reads all three messages. Public keys are kept by role; private
+    keys are reached only through ``dh`` (see :func:`keypair_dh`), by
+    default the config's own. An observer passes the keys it holds and
+    ``mode`` None, which follows the symmetric state without checking
+    identities."""
+
+    def __init__(self, cfg, initiator: bool, mode: BindingMode | None, nonce_cap, dh=None):
         self.cfg = cfg
-        self.initiator = initiator
         self.mode = mode
         self.ss = SymmetricState(nonce_cap)
         self.ss.mix_hash(b"")  # empty prologue
-        self.e = DHKeypair.from_seed(cfg.ephemeral_seed)
-        self.s = cfg.static
-        self.re = None
-        self.rs = None
-        self.remote_identity = None
+        self.role = "initiator" if initiator else "responder"
+        self.peer = "responder" if initiator else "initiator"
+        self.pub, self.dh, self.remote_identity = {}, dh, None
+        if cfg is not None:
+            e = DHKeypair.from_seed(cfg.ephemeral_seed)
+            own = {self.role + "_static": cfg.static, self.role + "_ephemeral": e}
+            self.pub = {role: key.public_bytes for role, key in own.items()}
+            self.dh = dh or keypair_dh(own)
+
+    def _mix_dh(self, x: str, y: str):
+        """MixKey(DH(initiator's ``x`` key, responder's ``y`` key))."""
+        rx, ry = "initiator_" + x, "responder_" + y
+        secret = self.dh(rx, self.pub[rx], ry, self.pub[ry])
+        if secret is None:
+            raise HandshakeAborted("crypto", f"no private key for {rx} or {ry}")
+        self.ss.mix_key(secret)
 
     # -- payload handling --------------------------------------------------
 
@@ -357,91 +398,98 @@ class _XXParty:
         else:
             if self.cfg.identity is None:
                 raise ConfigError("identity keypair required in identity mode")
-            sig = sign_static_key(self.cfg.identity, self.s.public_bytes, self.mode, self.re)
+            s, re = self.pub[self.role + "_static"], self.pub[self.peer + "_ephemeral"]
+            sig = sign_static_key(self.cfg.identity, s, self.mode, re)
             body = HandshakePayload(self.cfg.identity.public_bytes, sig).encode()
         return body + b"\x00" * self.cfg.payload_padding
 
-    def _check_payload(self, plaintext: bytes):
+    def _check_payload(self, plaintext: bytes) -> bytes:
         if self.mode is None:
-            return
+            return plaintext
         payload = HandshakePayload.decode(plaintext)
         ok = verify_static_key(
             payload.identity_pubkey,
-            self.rs,
+            self.pub[self.peer + "_static"],
             payload.identity_sig,
             self.mode,
-            self.e.public_bytes,  # verifier's own ephemeral is the challenge
+            self.pub[self.role + "_ephemeral"],  # verifier's own ephemeral is the challenge
         )
         if not ok:
             raise HandshakeAborted("identity", "static key signature did not verify")
         self.remote_identity = payload.identity_pubkey
+        return plaintext
 
     # -- message 1: -> e ---------------------------------------------------
 
     def write_message_1(self) -> bytes:
-        self.ss.mix_hash(self.e.public_bytes)
+        e = self.pub["initiator_ephemeral"]
+        self.ss.mix_hash(e)
         # The initiator must not send a payload in message 1.
-        return self.e.public_bytes + self.ss.encrypt_and_hash(b"")
+        return e + self.ss.encrypt_and_hash(b"")
 
     def read_message_1(self, data: bytes):
         if len(data) < DHLEN:
             raise ProtocolViolation("message 1 shorter than an ephemeral key")
         if len(data) > DHLEN:
             raise ProtocolViolation("initiator sent early payload in message 1")
-        self.re = data[:DHLEN]
-        self.ss.mix_hash(self.re)
+        self.pub["initiator_ephemeral"] = data[:DHLEN]
+        self.ss.mix_hash(data[:DHLEN])
         self.ss.decrypt_and_hash(data[DHLEN:])
 
     # -- message 2: <- e, ee, s, es ---------------------------------------
 
     def write_message_2(self) -> bytes:
-        out = self.e.public_bytes
-        self.ss.mix_hash(self.e.public_bytes)
-        self.ss.mix_key(self.e.dh(self.re))  # ee
-        out += self.ss.encrypt_and_hash(self.s.public_bytes)  # s
-        self.ss.mix_key(self.s.dh(self.re))  # es (responder side)
+        out = self.pub["responder_ephemeral"]
+        self.ss.mix_hash(out)
+        self._mix_dh("ephemeral", "ephemeral")  # ee
+        out += self.ss.encrypt_and_hash(self.pub["responder_static"])  # s
+        self._mix_dh("ephemeral", "static")  # es
         out += self.ss.encrypt_and_hash(self._own_payload())
         return out
 
-    def read_message_2(self, data: bytes):
+    def read_message_2(self, data: bytes) -> bytes:
+        """Read message 2 and return the responder's payload."""
         if len(data) < DHLEN + DHLEN + TAGLEN + TAGLEN:
             raise ProtocolViolation("message 2 too short")
-        self.re = data[:DHLEN]
-        self.ss.mix_hash(self.re)
-        self.ss.mix_key(self.e.dh(self.re))  # ee
+        self.pub["responder_ephemeral"] = data[:DHLEN]
+        self.ss.mix_hash(data[:DHLEN])
+        self._mix_dh("ephemeral", "ephemeral")  # ee
         enc_s = data[DHLEN : DHLEN + DHLEN + TAGLEN]
         try:
-            self.rs = self.ss.decrypt_and_hash(enc_s)
-            self.ss.mix_key(self.e.dh(self.rs))  # es (initiator side)
+            self.pub["responder_static"] = self.ss.decrypt_and_hash(enc_s)
+            self._mix_dh("ephemeral", "static")  # es
             plaintext = self.ss.decrypt_and_hash(data[DHLEN + DHLEN + TAGLEN :])
         except DecryptFailed as exc:
             raise HandshakeAborted("crypto", str(exc)) from None
-        self._check_payload(plaintext)
+        return self._check_payload(plaintext)
 
     # -- message 3: -> s, se ----------------------------------------------
 
     def write_message_3(self) -> bytes:
-        out = self.ss.encrypt_and_hash(self.s.public_bytes)  # s
-        self.ss.mix_key(self.s.dh(self.re))  # se (initiator side)
+        out = self.ss.encrypt_and_hash(self.pub["initiator_static"])  # s
+        self._mix_dh("static", "ephemeral")  # se
         out += self.ss.encrypt_and_hash(self._own_payload())
         return out
 
-    def read_message_3(self, data: bytes):
+    def read_message_3(self, data: bytes) -> bytes:
+        """Read message 3 and return the initiator's payload."""
         if len(data) < DHLEN + TAGLEN + TAGLEN:
             raise ProtocolViolation("message 3 too short")
         enc_s = data[: DHLEN + TAGLEN]
         try:
-            self.rs = self.ss.decrypt_and_hash(enc_s)
-            self.ss.mix_key(self.e.dh(self.rs))  # se (responder side)
+            self.pub["initiator_static"] = self.ss.decrypt_and_hash(enc_s)
+            self._mix_dh("static", "ephemeral")  # se
             plaintext = self.ss.decrypt_and_hash(data[DHLEN + TAGLEN :])
         except DecryptFailed as exc:
             raise HandshakeAborted("crypto", str(exc)) from None
-        self._check_payload(plaintext)
+        return self._check_payload(plaintext)
 
     def session(self) -> NoiseSession:
         c1, c2 = self.ss.split()
-        send, recv = (c1, c2) if self.initiator else (c2, c1)
-        return NoiseSession(send, recv, self.remote_identity, self.rs, self.ss.h)
+        send, recv = (c1, c2) if self.role == "initiator" else (c2, c1)
+        return NoiseSession(
+            send, recv, self.remote_identity, self.pub[self.peer + "_static"], self.ss.h
+        )
 
 
 def run_xx_handshake(

@@ -6,6 +6,11 @@ toolkit over the recording: a passive decryption probe driven by a set of
 compromised private keys, exact amplification accounting, and packet
 replay. Identical (seed, script) pairs produce byte-identical
 transcripts.
+
+The toolkit holds no key schedule of its own: the probe feeds the recorded
+bytes to the protocols' own packet readers (``noise._XXParty``,
+``discv5._Party``) holding only the compromised keys, and the discv5 replay
+feeds a recorded packet to a fresh ``discv5._Responder``.
 """
 
 from __future__ import annotations
@@ -14,17 +19,24 @@ import hashlib
 import random
 from dataclasses import dataclass, field
 
-from cryptography.hazmat.primitives.asymmetric.x25519 import (
-    X25519PrivateKey,
-    X25519PublicKey,
-)
+from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 
 from . import discv5 as _d5
 from . import noise as _noise
-from .errors import HandshakeAborted, HandshakeRejected, IncompleteTranscript
+from .errors import (
+    DecryptFailed,
+    HandshakeAborted,
+    HandshakeRejected,
+    IncompleteTranscript,
+    ProtocolViolation,
+    parsing,
+)
 from .transcript import AdversarialLink, DirectLink, DroppedPacket, Transcript
 
 DEFAULT_TRANSPORT_ROUNDS = 2
+ROLES = ("initiator_static", "responder_static", "initiator_ephemeral", "responder_ephemeral")
+# How a packet reader (or its DH) says that the bytes on the wire do not read.
+WIRE_FAILURES = (HandshakeAborted, HandshakeRejected, ProtocolViolation, DecryptFailed)
 
 
 @dataclass
@@ -72,9 +84,7 @@ class CompromiseSet:
             priv, peer = self.keys[role_y], pub_x
         else:
             return None
-        return X25519PrivateKey.from_private_bytes(priv).exchange(
-            X25519PublicKey.from_public_bytes(peer)
-        )
+        return _noise.x25519(X25519PrivateKey.from_private_bytes(priv), peer)
 
 
 def _seed_bytes(rng: random.Random, label: str) -> bytes:
@@ -108,17 +118,29 @@ def run_session(
     rng = random.Random(seed)
     link = AdversarialLink(script) if script else DirectLink()
     if protocol == "noise-xx":
-        session = _run_noise(rng, link, mode, responder_padding, transport_rounds)
+        keys, extras, run = _noise_session(rng, link, mode, responder_padding, transport_rounds)
     else:
-        session = _run_discv5(
-            rng, link, protocol.split("-", 1)[1], transcript_binding, transport_rounds
+        variant = protocol.split("-", 1)[1]
+        keys, extras, run = _discv5_session(
+            rng, link, variant, transcript_binding, transport_rounds
         )
+    try:
+        extras["result"] = run()
+        outcome = SessionOutcome("completed")
+    except DroppedPacket as exc:
+        outcome = SessionOutcome("timeout", f"packet dropped: {exc}")
+    except WIRE_FAILURES as exc:
+        # Each packet is read as soon as it is delivered, so the last one
+        # recorded is the one that failed.
+        outcome = SessionOutcome("rejected", f"{link.transcript.entries[-1].label}: {exc}")
     if isinstance(link, AdversarialLink):
         link.finish()
-    return session
+    # Private keys by role; an ephemeral's X25519 seed is its private key.
+    secrets = dict(zip(ROLES, keys))
+    return SimSession(protocol, outcome, link.transcript, secrets, extras)
 
 
-def _run_noise(rng, link, mode, responder_padding, transport_rounds):
+def _noise_session(rng, link, mode, responder_padding, transport_rounds):
     binding = {
         "legacy": _noise.BindingMode.LEGACY,
         "hardened": _noise.BindingMode.HARDENED,
@@ -134,43 +156,34 @@ def _run_noise(rng, link, mode, responder_padding, transport_rounds):
     )
     if binding is None:
         ini.identity = res.identity = None
-    secrets = {
-        "initiator_static": ini.static.private_bytes(),
-        "responder_static": res.static.private_bytes(),
-        "initiator_ephemeral": _noise.DHKeypair.from_seed(ini.ephemeral_seed).private_bytes(),
-        "responder_ephemeral": _noise.DHKeypair.from_seed(res.ephemeral_seed).private_bytes(),
-    }
-    transcript = link.transcript
-    transcript.protocol = "noise-xx"
-    transcript.meta.update(
+    link.transcript.protocol = "noise-xx"
+    link.transcript.meta.update(
         {
             "mode": mode,
             "initiator_static_pub": ini.static.public_bytes.hex(),
             "responder_static_pub": res.static.public_bytes.hex(),
         }
     )
-    extras = {"initiator_cfg": ini, "responder_cfg": res, "binding": binding}
-    try:
+
+    def run():
         result = _noise.run_xx_handshake(ini, res, binding, link=link)
         for i in range(transport_rounds):
-            ping = b"ping-%d" % i
-            ct = result.initiator.send.encrypt_with_ad(b"", ping)
+            ct = result.initiator.send.encrypt_with_ad(b"", b"ping-%d" % i)
             ct = link.transfer("i->r", ct, f"transport-i{i}", ("transport",))
             result.responder.recv.decrypt_with_ad(b"", ct)
-            pong = b"pong-%d" % i
-            ct = result.responder.send.encrypt_with_ad(b"", pong)
+            ct = result.responder.send.encrypt_with_ad(b"", b"pong-%d" % i)
             ct = link.transfer("r->i", ct, f"transport-r{i}", ("transport",))
             result.initiator.recv.decrypt_with_ad(b"", ct)
-        extras["result"] = result
-        outcome = SessionOutcome("completed")
-    except DroppedPacket as exc:
-        outcome = SessionOutcome("timeout", f"packet dropped: {exc}")
-    except (HandshakeAborted, _noise.ProtocolViolation) as exc:
-        outcome = SessionOutcome("rejected", str(exc))
-    return SimSession("noise-xx", outcome, transcript, secrets, extras)
+        return result
+
+    keys = (
+        ini.static.private_bytes(), res.static.private_bytes(),
+        ini.ephemeral_seed, res.ephemeral_seed,
+    )
+    return keys, {"initiator_cfg": ini, "responder_cfg": res, "binding": binding}, run
 
 
-def _run_discv5(rng, link, variant, transcript_binding, transport_rounds):
+def _discv5_session(rng, link, variant, transcript_binding, transport_rounds):
     a = _d5.Discv5Config(
         _d5.NodeIdentity.from_seed(_seed_bytes(rng, "discv5-initiator")),
         _seed_bytes(rng, "discv5-initiator-rng"),
@@ -181,31 +194,17 @@ def _run_discv5(rng, link, variant, transcript_binding, transport_rounds):
         _seed_bytes(rng, "discv5-responder-rng"),
         tuple(b"pong-%d" % i for i in range(transport_rounds)),
     )
-    secrets = {
-        "initiator_static": a.identity.static.private_bytes(),
-        "responder_static": b.identity.static.private_bytes(),
-        "initiator_ephemeral": _noise.DHKeypair.from_seed(
-            a._rand(b"ephemeral", 32)
-        ).private_bytes(),
-        "responder_ephemeral": _noise.DHKeypair.from_seed(
-            b._rand(b"ephemeral", 32)
-        ).private_bytes(),
-    }
-    extras = {"initiator_cfg": a, "responder_cfg": b}
-    try:
-        result = _d5.run_handshake(
+
+    def run():
+        return _d5.run_handshake(
             a, b, variant=variant, transcript_binding=transcript_binding, link=link
         )
-        extras["result"] = result
-        outcome = SessionOutcome("completed")
-    except DroppedPacket as exc:
-        outcome = SessionOutcome("timeout", f"packet dropped: {exc}")
-    except HandshakeRejected as exc:
-        outcome = SessionOutcome("rejected", exc.reason)
-    transcript = link.transcript
-    if not transcript.protocol:
-        transcript.protocol = f"discv5-{variant}"
-    return SimSession(transcript.protocol, outcome, transcript, secrets, extras)
+
+    keys = (
+        a.identity.static.private_bytes(), b.identity.static.private_bytes(),
+        a.ephemeral_seed, b.ephemeral_seed,
+    )
+    return keys, {"initiator_cfg": a, "responder_cfg": b}, run
 
 
 # ---------------------------------------------------------------------------
@@ -246,192 +245,70 @@ class ProbeReport:
         ]
 
 
+# Packets that travel in the clear; every other packet is encrypted.
+_CLEARTEXT = ("xx-msg1", "findnode-trigger", "whoareyou")
+
+
 def passive_decrypt_probe(transcript: Transcript, compromise: CompromiseSet) -> ProbeReport:
-    """Replay the key schedule using only compromised private keys plus
-    the recorded wire bytes; report which messages decrypt."""
+    """Replay the recorded wire bytes through the protocol's own packet
+    readers, holding only the compromised private keys; report which
+    messages decrypt. Reading stops at the first packet that is missing,
+    empty or unreadable, and at a Noise agreement the keys cannot compute
+    (each Noise key chains into the next); every later message reads as
+    not decrypted. A discv5 key the set cannot derive seals only the
+    packets under it."""
     if transcript.protocol == "noise-xx":
-        return _probe_noise(transcript, compromise)
-    if transcript.protocol.startswith("discv5-"):
-        return _probe_discv5(transcript, compromise)
-    raise ValueError(f"no probe for protocol {transcript.protocol!r}")
-
-
-def _probe_noise(transcript, compromise):
-    meta = transcript.meta
-    s_i_pub = bytes.fromhex(meta["initiator_static_pub"])
-    s_r_pub = bytes.fromhex(meta["responder_static_pub"])
-    by_label = {e.label: e for e in transcript.entries}
-    report = []
-
-    def mark(entry, encrypted, plaintext=None):
+        handshake, read_transport = _noise_readers(compromise)
+    elif transcript.protocol.startswith("discv5-"):
+        with parsing("transcript meta"):
+            observer = _d5._Party(transcript.meta, compromise.dh)
+        handshake = [
+            ("findnode-trigger", observer.read_trigger),
+            ("whoareyou", observer.read_whoareyou),
+            ("handshake-message", observer.read_handshake),
+            ("nodes-response", observer.read_nodes),
+        ]
+        read_transport = observer.read_transport
+    else:
+        raise ValueError(f"no probe for protocol {transcript.protocol!r}")
+    report, reading = [], True
+    for entry in transcript.entries:
+        if entry.index < len(handshake):
+            (label, read), args = handshake[entry.index], (entry.data,)
+        else:
+            label, read, args = "transport", read_transport, (entry.data, entry.direction)
+        reading = reading and entry.label.startswith(label)
+        plaintext = None
+        if reading:
+            try:
+                plaintext = read(*args)
+            except WIRE_FAILURES:
+                reading = False
         report.append(
             ProbeEntry(
-                entry.index, entry.label, entry.direction, encrypted,
+                entry.index, entry.label, entry.direction, entry.label not in _CLEARTEXT,
                 plaintext is not None, plaintext,
             )
         )
-
-    m1 = by_label.get("xx-msg1")
-    m2 = by_label.get("xx-msg2")
-    m3 = by_label.get("xx-msg3")
-    transports = [e for e in transcript.entries if "transport" in e.flags]
-    if m1 is None or m2 is None:
-        for e in transcript.entries:
-            mark(e, True)
-        return ProbeReport(report)
-
-    e_i_pub = m1.data[:32]
-    e_r_pub = m2.data[:32]
-    ee = compromise.dh("initiator_ephemeral", e_i_pub, "responder_ephemeral", e_r_pub)
-    es = compromise.dh("initiator_ephemeral", e_i_pub, "responder_static", s_r_pub)
-    se = compromise.dh("initiator_static", s_i_pub, "responder_ephemeral", e_r_pub)
-
-    ss = _noise.SymmetricState()
-    ss.mix_hash(b"")  # prologue
-    mark(m1, False)  # message 1 is a bare public key
-    ss.mix_hash(e_i_pub)
-    ss.mix_hash(b"")  # empty unencrypted payload ciphertext
-
-    broken = False
-    ss.mix_hash(e_r_pub)
-    if ee is None:
-        broken = True
-    else:
-        ss.mix_key(ee)
-    enc_s = m2.data[32:80]
-    enc_payload2 = m2.data[80:]
-    if broken:
-        mark(m2, True)
-    else:
-        ss.decrypt_and_hash(enc_s)
-        if es is None:
-            broken = True
-            mark(m2, True)
-        else:
-            ss.mix_key(es)
-            mark(m2, True, ss.decrypt_and_hash(enc_payload2))
-    if m3 is not None:
-        if broken:
-            mark(m3, True)
-        else:
-            ss.decrypt_and_hash(m3.data[:48])
-            if se is None:
-                broken = True
-                mark(m3, True)
-            else:
-                ss.mix_key(se)
-                mark(m3, True, ss.decrypt_and_hash(m3.data[48:]))
-    if broken:
-        for e in transports:
-            mark(e, True)
-        return ProbeReport(report)
-    c_i2r, c_r2i = ss.split()
-    for e in transports:
-        cipher = c_i2r if e.direction == "i->r" else c_r2i
-        try:
-            mark(e, True, cipher.decrypt_with_ad(b"", e.data))
-        except Exception:
-            mark(e, True)
     return ProbeReport(report)
 
 
-def _probe_discv5(transcript, compromise):
-    meta = transcript.meta
-    variant = meta["variant"]
-    binding = meta.get("transcript_binding", False)
-    a_id = bytes.fromhex(meta["initiator_node_id"])
-    b_id = bytes.fromhex(meta["responder_node_id"])
-    a_static_pub = bytes.fromhex(meta["initiator_static_pub"])
-    b_static_pub = bytes.fromhex(meta["responder_static_pub"])
-    by_label = {e.label: e for e in transcript.entries}
-    report = []
+def _noise_readers(compromise):
+    observer = _noise._XXParty(None, True, None, _noise.MAX_NONCE, compromise.dh)
+    ciphers = {}
 
-    def mark(entry, encrypted, plaintext=None):
-        report.append(
-            ProbeEntry(
-                entry.index, entry.label, entry.direction, encrypted,
-                plaintext is not None, plaintext,
-            )
-        )
+    def read_transport(data, direction):
+        if not ciphers:  # the handshake has been read: split once
+            session = observer.session()
+            ciphers.update({"i->r": session.send, "r->i": session.recv})
+        return ciphers[direction].decrypt_with_ad(b"", data)
 
-    trigger = by_label.get("findnode-trigger")
-    way = by_label.get("whoareyou")
-    hs = by_label.get("handshake-message")
-    nodes = by_label.get("nodes-response")
-    if trigger is not None:
-        mark(trigger, False)  # sent in the clear before any session exists
-    if way is not None:
-        mark(way, False)
-    if hs is None or way is None:
-        for e in transcript.entries:
-            if e.label.startswith("transport"):
-                mark(e, True)
-        return ProbeReport(report)
-
-    challenge_data = way.data
-    header, rest = _d5.PacketHeader.decode(hs.data)
-    parsed = _d5.HandshakeAuthdata.decode(rest[: header.authdata_size])
-    a_eph_pub = parsed.ephemeral_pubkey[:32]
-    label = _d5.HKDF_LABEL_V5 if variant == "v5" else _d5.HKDF_LABEL_KK
-
-    def derive(dh_list, th=b""):
-        if any(dh is None for dh in dh_list):
-            return None
-        return _d5.derive_session_keys(
-            dh_list, challenge_data, a_id, b_id, label, transcript_hash=th
-        )
-
-    dh_es = compromise.dh("initiator_ephemeral", a_eph_pub, "responder_static", b_static_pub)
-    dh_ss = compromise.dh("initiator_static", a_static_pub, "responder_static", b_static_pub)
-    phase1 = derive([dh_es] if variant == "v5" else [dh_es, dh_ss])
-
-    # Handshake payload: encrypted under the phase-1 initiator key.
-    if phase1 is None:
-        mark(hs, True)
-    else:
-        try:
-            pt = _d5._decrypt_message(
-                phase1.initiator_key, header.nonce, hs.data[:21],
-                hs.data[23 + header.authdata_size :],
-            )
-            mark(hs, True, pt)
-        except HandshakeRejected:
-            mark(hs, True)
-
-    th = _d5.transcript_hash([trigger.data, way.data, hs.data]) if binding else b""
-    if variant == "v5":
-        final = derive([dh_es], th)
-    else:
-        b_eph_pub = nodes.data[_d5.PacketHeader.HEADER_LEN + 32 :][:32] if nodes else b""
-        dh_ee = (
-            compromise.dh("initiator_ephemeral", a_eph_pub, "responder_ephemeral", b_eph_pub)
-            if b_eph_pub
-            else None
-        )
-        final = derive([dh_ee, dh_es], th)
-
-    def try_open(entry, key):
-        if key is None:
-            mark(entry, True)
-            return
-        try:
-            h, _ = _d5.PacketHeader.decode(entry.data)
-            ad_len = _d5.PacketHeader.HEADER_LEN + h.authdata_size
-            pt = _d5._decrypt_message(key, h.nonce, entry.data[:ad_len], entry.data[ad_len:])
-            mark(entry, True, pt)
-        except (HandshakeRejected, Exception):
-            mark(entry, True)
-
-    if nodes is not None:
-        try_open(nodes, final.recipient_key if final else None)
-    for e in transcript.entries:
-        if not e.label.startswith("transport"):
-            continue
-        key = None
-        if final is not None:
-            key = final.initiator_key if e.direction == "i->r" else final.recipient_key
-        try_open(e, key)
-    return ProbeReport(report)
+    handshake = [
+        ("xx-msg1", observer.read_message_1),
+        ("xx-msg2", observer.read_message_2),
+        ("xx-msg3", observer.read_message_3),
+    ]
+    return handshake, read_transport
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +365,7 @@ def replay_inject(session: SimSession, packet_index: int) -> ReplayOutcome:
             try:
                 cipher.decrypt_with_ad(b"", entry.data)
                 return ReplayOutcome(True, "")
-            except Exception:
+            except DecryptFailed:
                 return ReplayOutcome(False, "nonce already consumed")
         if entry.label in ("xx-msg2", "xx-msg3") and session.extras.get("binding"):
             # Cross-session replay of the identity payload, staged via the
@@ -506,23 +383,20 @@ def replay_inject(session: SimSession, packet_index: int) -> ReplayOutcome:
         return ReplayOutcome(False, "handshake messages are session-bound")
 
     if session.protocol.startswith("discv5-"):
-        if entry.label == "handshake-message":
-            # A fresh responder issues a fresh WHOAREYOU; the recorded
-            # signature covers the old challenge, so it cannot verify.
-            fresh = run_session(session.protocol, b"replay-target", transport_rounds=0)
-            new_challenge = fresh.transcript.entries[1].data
-            header, rest = _d5.PacketHeader.decode(entry.data)
-            parsed = _d5.HandshakeAuthdata.decode(rest[: header.authdata_size])
-            signing_pub = bytes.fromhex(session.transcript.meta["initiator_signing_pub"])
-            dest_id = bytes.fromhex(fresh.transcript.meta["responder_node_id"])
-            ok = _noise.verify_identity_sig(
-                signing_pub,
-                _d5.id_signature_input(
-                    new_challenge, parsed.ephemeral_pubkey[:32], dest_id
-                ),
-                parsed.id_signature[:64],
+        if entry.label != "handshake-message":
+            return ReplayOutcome(False, "packet type not replayable")
+        # A fresh responder issues its own WHOAREYOU, then reads the recorded
+        # packet, whose signature covers the old challenge.
+        fresh = _d5.Discv5Config(_d5.NodeIdentity.from_seed(b"replay-target"), b"replay-target")
+        meta = dict(session.transcript.meta, **_d5.identity_meta("responder", fresh.identity))
+        target = _d5._Responder(fresh, meta)
+        target.write_whoareyou()
+        try:
+            target.read_handshake(entry.data)
+        except HandshakeRejected as exc:
+            return ReplayOutcome(
+                False, "stale challenge signature" if exc.reason == "signature" else str(exc)
             )
-            return ReplayOutcome(ok, "" if ok else "stale challenge signature")
-        return ReplayOutcome(False, "packet type not replayable")
+        return ReplayOutcome(True, "")
 
     raise ValueError(f"no replay handler for {session.protocol!r}")

@@ -1,10 +1,16 @@
 """Adversarial network simulator: determinism, scripted attacks, the
 passive decryption probe, amplification accounting, and replay."""
 
+import hashlib
+import itertools
+import json
+
 import pytest
 
+from beaconlab import discv5, noise
 from beaconlab.errors import IncompleteTranscript, ScriptError
 from beaconlab.simnet import (
+    ROLES,
     CompromiseSet,
     ProbeReport,
     measure_amplification,
@@ -217,3 +223,152 @@ def test_replay_out_of_range_index():
     session = run_session("noise-xx", 41)
     with pytest.raises(IndexError):
         replay_inject(session, 999)
+
+
+# ---------------------------------------------------------------------------
+# One handshake engine: pinned output, every transcript probed, no raise
+# ---------------------------------------------------------------------------
+
+CONFIGS = [
+    ("noise-xx", {"mode": "legacy"}),
+    ("noise-xx", {"mode": "hardened"}),
+    ("noise-xx", {"mode": "bare"}),
+    ("discv5-v5", {"transcript_binding": False}),
+    ("discv5-v5", {"transcript_binding": True}),
+    ("discv5-kk", {"transcript_binding": False}),
+    ("discv5-kk", {"transcript_binding": True}),
+]
+
+
+def test_wire_bytes_and_probe_reports_are_pinned():
+    """SHA-256 over the transcripts of 7 configurations x 8 seeds, and over
+    the probe report of each under all 16 subsets of the four keys. The
+    digests were taken before the handshakes became party objects."""
+    wire, probe = hashlib.sha256(), hashlib.sha256()
+    for protocol, options in CONFIGS:
+        for seed in range(8):
+            session = run_session(protocol, seed, **options)
+            assert session.outcome.status == "completed"
+            wire.update(json.dumps(session.transcript.to_json(), sort_keys=True).encode())
+            for n in range(len(ROLES) + 1):
+                for roles in itertools.combinations(ROLES, n):
+                    report = passive_decrypt_probe(
+                        session.transcript, CompromiseSet.of(session, *roles)
+                    )
+                    probe.update(json.dumps(report.to_json(), sort_keys=True).encode())
+    assert wire.hexdigest() == "9f31047ea234fde82fc74cc28749077e2af19bfa767b654c5c55406b4cbd8ff1"
+    assert probe.hexdigest() == "4817f2b4ce4c0b40a8260504db724eefa938fa521725adb13fa104af28860cc4"
+
+
+def _marks(report):
+    return [(e.label, e.encrypted, e.decrypted) for e in report.entries]
+
+
+def _failed_runs():
+    """Every (protocol, dropped packet) pair, and one tampered packet per
+    protocol: the packet index and the script."""
+    for protocol in PROTOCOLS:
+        for index in range(len(run_session(protocol, 61).transcript.entries)):
+            yield protocol, index, [{"packet": index, "action": "drop"}]
+    yield "noise-xx", 2, [{"packet": 2, "action": "xor", "offset": 40}]
+    yield "discv5-v5", 2, [{"packet": 2, "action": "xor", "offset": 60}]
+    yield "discv5-kk", 2, [{"packet": 2, "action": "xor", "offset": 60}]
+
+
+@pytest.mark.parametrize("protocol,index,script", list(_failed_runs()))
+@pytest.mark.parametrize("held", ["empty", "full"])
+def test_probe_reads_every_recorded_transcript(protocol, index, script, held):
+    """A timed-out or rejected session still gets a report: the entries
+    before the failed packet read as in the completed run."""
+    honest, failed = run_session(protocol, 61), run_session(protocol, 61, script=script)
+    assert failed.outcome.status != "completed"
+
+    def probe(session):
+        keys = CompromiseSet.full(session) if held == "full" else CompromiseSet.empty()
+        return passive_decrypt_probe(session.transcript, keys)
+
+    report = probe(failed)
+    assert [e.index for e in report.entries] == [e.index for e in failed.transcript.entries]
+    assert _marks(report)[:index] == _marks(probe(honest))[:index]
+    if script[0]["action"] == "drop":
+        assert not report.entries[index].decrypted
+
+
+def test_probe_never_checks_an_identity_signature(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the probe verified a signature")
+
+    sessions = [run_session(protocol, 62) for protocol in PROTOCOLS]
+    monkeypatch.setattr(noise, "verify_identity_sig", refuse)
+    monkeypatch.setattr(discv5, "verify_identity_sig", refuse)
+    for session in sessions:
+        report = passive_decrypt_probe(session.transcript, CompromiseSet.full(session))
+        assert all(e.decrypted for e in report.entries if e.encrypted)
+
+
+def _replace(session, label, offset, data):
+    entry = next(e for e in session.transcript.entries if e.label == label)
+    forged = entry.data[:offset] + data + entry.data[offset + len(data) :]
+    return [{"packet": entry.index, "action": "replace", "data": forged.hex()}]
+
+
+@pytest.mark.parametrize(
+    "protocol,label,offset",
+    [
+        ("noise-xx", "xx-msg1", 0),  # the initiator ephemeral
+        ("noise-xx", "xx-msg2", 0),  # the responder ephemeral
+        ("discv5-kk", "nodes-response", discv5.PacketHeader.HEADER_LEN + 32),
+    ],
+)
+def test_an_all_zero_key_is_a_rejection_naming_its_packet(protocol, label, offset):
+    script = _replace(run_session(protocol, 63), label, offset, b"\x00" * 32)
+    session = run_session(protocol, 63, script=script)
+    assert session.outcome.status == "rejected"
+    assert session.outcome.detail.startswith(label + ": ")
+
+
+def test_discv5_agrees_each_key_pair_once(monkeypatch):
+    """A v5 session runs 2 X25519 agreements; a KK session 6 (es, ss and ee
+    on each side), with no key pair agreed twice."""
+    calls = []
+    dh = noise.DHKeypair.dh
+    monkeypatch.setattr(noise.DHKeypair, "dh", lambda self, peer: calls.append(1) or dh(self, peer))
+    for protocol, expected in (("discv5-v5", 2), ("discv5-kk", 6)):
+        calls.clear()
+        assert run_session(protocol, 64).outcome.status == "completed"
+        assert len(calls) == expected
+
+
+def _flip_map(protocol, options, packets):
+    """Run the session once per single-bit flip (mask 0x01) of every byte of
+    the chosen packets; return the (label, offset) flips that complete."""
+    honest = run_session(protocol, 5, **options)
+    completed = set()
+    for entry in honest.transcript.entries:
+        if not packets(entry):
+            continue
+        for offset in range(len(entry.data)):
+            script = [{"packet": entry.index, "action": "xor", "offset": offset, "mask": 0x01}]
+            session = run_session(protocol, 5, script=script, **options)
+            assert session.outcome.status in ("completed", "rejected")
+            if session.outcome.status == "completed":
+                completed.add((entry.label, offset))
+    return completed
+
+
+@pytest.mark.parametrize("protocol,options", CONFIGS)
+def test_wire_malleability_map(protocol, options):
+    """No flip of a Noise packet, and none of a transcript-bound discv5
+    packet, survives. Without binding, discv5 completes under every flip of
+    the unauthenticated FINDNODE trigger and of the handshake's wire
+    src_id (offsets 23-54), which the responder ignores."""
+    expected = set()
+    if protocol.startswith("discv5-") and not options["transcript_binding"]:
+        expected = {("findnode-trigger", o) for o in range(63)}
+        expected |= {("handshake-message", o) for o in range(23, 55)}
+    assert _flip_map(protocol, options, lambda e: "handshake" in e.flags) == expected
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_every_transport_flip_is_a_rejection(protocol):
+    assert _flip_map(protocol, {}, lambda e: e.label.startswith("transport")) == set()
