@@ -238,23 +238,16 @@ def _cmd_attack_batch_subgroup(args, report):
 
 
 def _cmd_attack_replay_static_sig(args, report):
-    from . import noise as _noise
-
-    victim = _noise.PeerConfig.from_seeds(
-        _seed_material(args.seed, "victim-static"), b"victim-identity"
-    )
-    responder = _noise.PeerConfig.from_seeds(
-        _seed_material(args.seed, "responder-static"), b"responder-identity"
-    )
-    stolen = _noise.steal_legacy_triple(victim)
-    legacy = _noise.replay_static_sig_attack(
-        stolen, victim.identity.public_bytes, responder, _noise.BindingMode.LEGACY
-    )
-    hardened = _noise.replay_static_sig_attack(
-        stolen, victim.identity.public_bytes, responder, _noise.BindingMode.HARDENED
-    )
-    metrics = {"legacy": str(legacy), "hardened": str(hardened)}
-    expected = legacy.impersonated and not hardened.impersonated
+    # Record one session per binding and replay the initiator's identity
+    # packet, xx-msg3, against a fresh responder.
+    replays = {
+        mode: _simnet.replay_inject(
+            _simnet.run_session("noise-xx", args.seed, mode=mode, transport_rounds=0), 2
+        )
+        for mode in ("legacy", "hardened")
+    }
+    metrics = {mode: "Impersonated" if out.accepted else str(out) for mode, out in replays.items()}
+    expected = replays["legacy"].accepted and not replays["hardened"].accepted
     return (0 if expected else 1), report.finish(
         "stolen static-key signature impersonates under the legacy binding only"
         if expected
@@ -409,6 +402,17 @@ def _cmd_slash_validate_evidence(args, report):
 # ---------------------------------------------------------------------------
 
 
+def _role_list(text: str) -> str:
+    """Check a comma-separated role list at parse time, so that an unknown
+    role is a usage error; the text itself is kept for the report."""
+    unknown = [r for r in text.split(",") if r.strip() not in ("", *_simnet.ROLES)]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown role {unknown[0].strip()!r}; roles are {', '.join(_simnet.ROLES)}"
+        )
+    return text
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="beaconlab",
@@ -469,7 +473,9 @@ def _build_parser():
     p.add_argument(
         "--protocol", choices=["noise-xx", "discv5-v5", "discv5-kk"], default="discv5-v5"
     )
-    p.add_argument("--compromise", default="responder_static", help="comma-separated roles")
+    p.add_argument(
+        "--compromise", type=_role_list, default="responder_static", help="comma-separated roles"
+    )
     p.set_defaults(handler=_cmd_probe_forward_secrecy)
 
     meas = sub.add_parser("measure").add_subparsers(dest="action", required=True)

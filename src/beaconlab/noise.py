@@ -5,8 +5,8 @@ Two identity bindings are implemented: the legacy one signs only the
 sender's static public key, so a leaked (static key, signature) triple
 impersonates the identity owner forever; the hardened one mixes the
 peer's ephemeral key into the signed message as an unpredictable
-challenge, which kills the replay. ``replay_static_sig_attack`` stages
-both outcomes.
+challenge, which kills the replay. ``simnet.replay_inject`` stages both
+outcomes from a recorded session.
 
 Cipher states enforce the 64-bit counter-nonce discipline: the maximum
 value poisons the state and every later call errors. A deliberately
@@ -525,56 +525,3 @@ def run_xx_handshake(
     if result.initiator.handshake_hash != result.responder.handshake_hash:
         raise HandshakeAborted("crypto", "handshake hashes diverged")
     return result
-
-
-# ---------------------------------------------------------------------------
-# Static-key-signature replay attack
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class StolenTriple:
-    s_pub: bytes
-    s_priv: bytes
-    identity_sig: bytes  # legacy-mode signature by the victim's identity key
-
-
-def steal_legacy_triple(victim_cfg: PeerConfig) -> StolenTriple:
-    """What an attacker learns from one compromised legacy-mode session."""
-    sig = sign_static_key(victim_cfg.identity, victim_cfg.static.public_bytes, BindingMode.LEGACY)
-    return StolenTriple(
-        victim_cfg.static.public_bytes, victim_cfg.static.private_bytes(), sig
-    )
-
-
-@dataclass
-class AttackOutcome:
-    impersonated: bool
-    detail: str
-
-    def __str__(self):
-        return "Impersonated" if self.impersonated else f"Rejected({self.detail})"
-
-
-def replay_static_sig_attack(
-    stolen: StolenTriple,
-    victim_identity_pk: bytes,
-    responder_cfg: PeerConfig,
-    mode: BindingMode,
-    link=None,
-) -> AttackOutcome:
-    """Present a stolen (static key, identity signature) triple to a fresh
-    responder, claiming the victim's identity."""
-    attacker_cfg = PeerConfig(
-        static=DHKeypair.from_seed(stolen.s_priv),
-        identity=None,
-        ephemeral_seed=hashlib.sha256(b"attacker-ephemeral" + stolen.s_pub).digest(),
-        preset_payload=HandshakePayload(victim_identity_pk, stolen.identity_sig),
-    )
-    try:
-        result = run_xx_handshake(attacker_cfg, responder_cfg, mode, link=link)
-    except HandshakeAborted as exc:
-        return AttackOutcome(False, f"HandshakeAborted({exc.reason})")
-    if result.responder.remote_identity == victim_identity_pk:
-        return AttackOutcome(True, "responder accepted the victim identity")
-    return AttackOutcome(False, "identity not accepted")

@@ -9,8 +9,10 @@ transcripts.
 
 The toolkit holds no key schedule of its own: the probe feeds the recorded
 bytes to the protocols' own packet readers (``noise._XXParty``,
-``discv5._Party``) holding only the compromised keys, and the discv5 replay
-feeds a recorded packet to a fresh ``discv5._Responder``.
+``discv5._Party``) holding only the compromised keys. The replay reads the
+recorded packet too: the discv5 replay feeds it to a fresh
+``discv5._Responder``, and the Noise identity replay presents the identity
+payload an observer ``_XXParty`` reads from it to a fresh responder.
 """
 
 from __future__ import annotations
@@ -118,12 +120,11 @@ def run_session(
     rng = random.Random(seed)
     link = AdversarialLink(script) if script else DirectLink()
     if protocol == "noise-xx":
-        keys, extras, run = _noise_session(rng, link, mode, responder_padding, transport_rounds)
+        keys, run = _noise_session(rng, link, mode, responder_padding, transport_rounds)
     else:
         variant = protocol.split("-", 1)[1]
-        keys, extras, run = _discv5_session(
-            rng, link, variant, transcript_binding, transport_rounds
-        )
+        keys, run = _discv5_session(rng, link, variant, transcript_binding, transport_rounds)
+    extras = {}
     try:
         extras["result"] = run()
         outcome = SessionOutcome("completed")
@@ -146,16 +147,12 @@ def _noise_session(rng, link, mode, responder_padding, transport_rounds):
         "hardened": _noise.BindingMode.HARDENED,
         "bare": None,
     }[mode]
-    ini = _noise.PeerConfig.from_seeds(
-        _seed_bytes(rng, "noise-initiator"), b"initiator-identity"
-    )
+    # Bare XX sends no identity payload, so its peers get no identity key.
+    identities = (b"initiator-identity", b"responder-identity") if binding else (None, None)
+    ini = _noise.PeerConfig.from_seeds(_seed_bytes(rng, "noise-initiator"), identities[0])
     res = _noise.PeerConfig.from_seeds(
-        _seed_bytes(rng, "noise-responder"),
-        b"responder-identity",
-        payload_padding=responder_padding,
+        _seed_bytes(rng, "noise-responder"), identities[1], payload_padding=responder_padding
     )
-    if binding is None:
-        ini.identity = res.identity = None
     link.transcript.protocol = "noise-xx"
     link.transcript.meta.update(
         {
@@ -180,7 +177,7 @@ def _noise_session(rng, link, mode, responder_padding, transport_rounds):
         ini.static.private_bytes(), res.static.private_bytes(),
         ini.ephemeral_seed, res.ephemeral_seed,
     )
-    return keys, {"initiator_cfg": ini, "responder_cfg": res, "binding": binding}, run
+    return keys, run
 
 
 def _discv5_session(rng, link, variant, transcript_binding, transport_rounds):
@@ -204,7 +201,7 @@ def _discv5_session(rng, link, variant, transcript_binding, transport_rounds):
         a.identity.static.private_bytes(), b.identity.static.private_bytes(),
         a.ephemeral_seed, b.ephemeral_seed,
     )
-    return keys, {"initiator_cfg": a, "responder_cfg": b}, run
+    return keys, run
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +345,15 @@ class ReplayOutcome:
 
 
 def replay_inject(session: SimSession, packet_index: int) -> ReplayOutcome:
-    """Replay a recorded packet against a live or fresh target session."""
+    """Replay a recorded packet against a live or fresh target session.
+
+    A Noise ``xx-msg2``/``xx-msg3`` of a legacy or hardened session carries
+    its sender's identity proof. The attacker is the sender's former peer,
+    who also stole the sender's static key: it reads the recorded handshake
+    up to that packet with its own keys, and presents the identity payload
+    it finds, under the stolen static key, to a fresh responder. The
+    verdict rests on the recorded bytes and ``session.secrets`` alone.
+    """
     try:
         entry = session.transcript.entries[packet_index]
     except IndexError:
@@ -367,19 +372,31 @@ def replay_inject(session: SimSession, packet_index: int) -> ReplayOutcome:
                 return ReplayOutcome(True, "")
             except DecryptFailed:
                 return ReplayOutcome(False, "nonce already consumed")
-        if entry.label in ("xx-msg2", "xx-msg3") and session.extras.get("binding"):
-            # Cross-session replay of the identity payload, staged via the
-            # stolen-triple attack against a fresh responder.
-            mode = session.extras["binding"]
-            victim = session.extras["initiator_cfg" if entry.direction == "i->r" else "responder_cfg"]
-            stolen = _noise.steal_legacy_triple(victim)
-            fresh_responder = _noise.PeerConfig.from_seeds(
+        mode = session.transcript.meta.get("mode")
+        if entry.label in ("xx-msg2", "xx-msg3") and mode in ("legacy", "hardened"):
+            victim, peer = "initiator", "responder"
+            if entry.direction == "r->i":
+                victim, peer = peer, victim
+            held = CompromiseSet.of(session, f"{peer}_static", f"{peer}_ephemeral")
+            observer = _noise._XXParty(None, True, None, _noise.MAX_NONCE, held.dh)
+            reads = (observer.read_message_1, observer.read_message_2, observer.read_message_3)
+            try:
+                for packet in session.transcript.entries[: packet_index + 1]:
+                    payload = reads[packet.index](packet.data)
+                attacker = _noise.PeerConfig(
+                    static=_noise.DHKeypair.from_seed(session.secrets[f"{victim}_static"]),
+                    preset_payload=_noise.HandshakePayload.decode(payload),
+                )
+            except WIRE_FAILURES as exc:
+                return ReplayOutcome(False, f"{packet.label}: {exc}")
+            target = _noise.PeerConfig.from_seeds(
                 b"replay-target-static", b"replay-target-identity"
             )
-            out = _noise.replay_static_sig_attack(
-                stolen, victim.identity.public_bytes, fresh_responder, mode
-            )
-            return ReplayOutcome(out.impersonated, out.detail if not out.impersonated else "")
+            try:
+                _noise.run_xx_handshake(attacker, target, _noise.BindingMode(mode))
+            except HandshakeAborted as exc:
+                return ReplayOutcome(False, f"HandshakeAborted({exc.reason})")
+            return ReplayOutcome(True, "")
         return ReplayOutcome(False, "handshake messages are session-bound")
 
     if session.protocol.startswith("discv5-"):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import ScriptError
+from .errors import ScriptError, parsing
 
 TRANSCRIPT_SCHEMA_VERSION = 1
 
@@ -53,16 +53,6 @@ class Transcript:
         self.entries.append(entry)
         return entry
 
-    def messages(self, direction=None, flag=None):
-        out = []
-        for e in self.entries:
-            if direction is not None and e.direction != direction:
-                continue
-            if flag is not None and flag not in e.flags:
-                continue
-            out.append(e)
-        return out
-
     def to_json(self):
         return {
             "schema_version": TRANSCRIPT_SCHEMA_VERSION,
@@ -73,15 +63,16 @@ class Transcript:
 
     @classmethod
     def from_json(cls, doc):
-        t = cls(protocol=doc.get("protocol", ""), meta=dict(doc.get("meta", {})))
-        for e in doc["entries"]:
-            t.record(
-                e["direction"],
-                bytes.fromhex(e["data"]),
-                e["label"],
-                tuple(e.get("flags", ())),
-                e.get("modified", False),
-            )
+        with parsing("transcript"):
+            t = cls(protocol=doc.get("protocol", ""), meta=dict(doc.get("meta", {})))
+            for e in doc["entries"]:
+                t.record(
+                    e["direction"],
+                    bytes.fromhex(e["data"]),
+                    e["label"],
+                    tuple(e.get("flags", ())),
+                    e.get("modified", False),
+                )
         return t
 
 

@@ -1,5 +1,6 @@
 """End-to-end runs of the command-line front end via in-process main()."""
 
+import hashlib
 import json
 
 import pytest
@@ -49,6 +50,14 @@ def test_seed_env_fallback(capsys, monkeypatch):
     monkeypatch.setenv("LAB_SEED", "ab" * 8)
     code, doc = run_json(capsys, "bls", "keygen")
     assert code == 0 and doc["seed"] == "ab" * 8
+
+
+def test_unknown_compromise_role_is_usage_error(capsys):
+    code, out, err = run(
+        capsys, "probe", "forward-secrecy", "--compromise", "responder_static,bogus"
+    )
+    assert code == 2 and out == ""
+    assert "unknown role 'bogus'" in err and "Traceback" not in err
 
 
 def test_missing_file_is_usage_error(capsys, tmp_path):
@@ -213,6 +222,19 @@ def test_replay_static_sig_report(capsys):
     assert code == 0
     assert doc["metrics"]["legacy"] == "Impersonated"
     assert doc["metrics"]["hardened"].startswith("Rejected")
+
+
+def test_replay_static_sig_reports_are_pinned(capsys):
+    """SHA-256 over the reports of seeds 0000-012b. The digest was taken
+    when the command staged the replay without recording a session."""
+    digest = hashlib.sha256()
+    for seed in range(0x012B + 1):
+        code, out, _ = run(
+            capsys, "--json", "--no-timestamp", f"--seed={seed:04x}", "attack", "replay-static-sig"
+        )
+        assert code == 0
+        digest.update(out.encode())
+    assert digest.hexdigest() == "d68184c0ed9a39503fe13afda48b689372c43e2da1d3b94417c1ff629ee5cbc5"
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Noise XX handshake, nonce discipline, identity bindings, and the
-static-key-signature replay attack."""
+"""Noise XX handshake, nonce discipline and identity bindings. The
+static-key-signature replay runs from recorded sessions in test_simnet."""
 
 import pytest
 from hypothesis import given, settings
@@ -164,40 +164,8 @@ def test_payload_codec_roundtrip_and_padding_tolerance():
 
 
 # ---------------------------------------------------------------------------
-# Static-key-signature replay
+# Static-key binding messages
 # ---------------------------------------------------------------------------
-
-
-def test_replay_impersonates_in_legacy_mode():
-    a, b = _peers()
-    stolen = noise.steal_legacy_triple(a)
-    outcome = noise.replay_static_sig_attack(
-        stolen, a.identity.public_bytes, b, noise.BindingMode.LEGACY
-    )
-    assert outcome.impersonated
-    assert str(outcome) == "Impersonated"
-
-
-def test_replay_rejected_in_hardened_mode():
-    a, b = _peers()
-    stolen = noise.steal_legacy_triple(a)
-    outcome = noise.replay_static_sig_attack(
-        stolen, a.identity.public_bytes, b, noise.BindingMode.HARDENED
-    )
-    assert not outcome.impersonated
-    assert "identity" in outcome.detail
-
-
-def test_replay_outcomes_are_deterministic():
-    a, b = _peers()
-    stolen = noise.steal_legacy_triple(a)
-    runs = [
-        noise.replay_static_sig_attack(
-            stolen, a.identity.public_bytes, b, noise.BindingMode.LEGACY
-        ).impersonated
-        for _ in range(3)
-    ]
-    assert runs == [True, True, True]
 
 
 def test_hardened_challenge_differs_per_session():

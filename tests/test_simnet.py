@@ -8,7 +8,7 @@ import json
 import pytest
 
 from beaconlab import discv5, noise
-from beaconlab.errors import IncompleteTranscript, ScriptError
+from beaconlab.errors import IncompleteTranscript, MalformedDocument, ScriptError
 from beaconlab.simnet import (
     ROLES,
     CompromiseSet,
@@ -72,6 +72,29 @@ def test_transcript_json_roundtrip():
     back = Transcript.from_json(doc)
     assert [e.data for e in back.entries] == _wire(session)
     assert back.meta["variant"] == "kk"
+
+
+@pytest.mark.parametrize("doc", [{}, {"entries": [{"label": "xx-msg1", "data": ""}]}])
+def test_transcript_from_json_rejects_a_malformed_document(doc):
+    with pytest.raises(MalformedDocument):
+        Transcript.from_json(doc)
+
+
+def test_bare_session_builds_no_identity_keys(monkeypatch):
+    """Bare XX builds the two static and the two ephemeral keypairs only;
+    an identity binding adds the two identity keypairs."""
+    calls = []
+    for cls in (noise.DHKeypair, noise.IdentityKeypair):
+        real = cls.from_seed
+        monkeypatch.setattr(
+            cls, "from_seed", classmethod(lambda c, seed, real=real: calls.append(c) or real(seed))
+        )
+    counts = {}
+    for mode in ("bare", "legacy"):
+        calls.clear()
+        assert run_session("noise-xx", 9, mode=mode).outcome.status == "completed"
+        counts[mode] = len(calls)
+    assert counts == {"bare": 4, "legacy": 6}
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +234,38 @@ def test_replay_hardened_identity_payload_rejected():
     session = run_session("noise-xx", 41, mode="hardened")
     out = replay_inject(session, _index_of(session, "xx-msg3"))
     assert not out.accepted
+    assert str(out) == "Rejected(HandshakeAborted(identity))"
+
+
+def test_replay_legacy_responder_payload_accepted():
+    """The responder's proof in xx-msg2 replays as well as the initiator's,
+    from the transcript and the session's secrets alone."""
+    session = run_session("noise-xx", 41, mode="legacy")
+    session.extras.clear()
+    assert replay_inject(session, _index_of(session, "xx-msg2")).accepted
+
+
+@pytest.mark.parametrize(
+    "tamper,label,reason",
+    [
+        ("zero-ephemeral", "xx-msg2", "xx-msg2: peer key is not a usable X25519 public key"),
+        ("flip", "xx-msg3", "xx-msg3: crypto: AEAD tag mismatch"),
+        ("drop", "xx-msg3", "xx-msg3: message 3 too short"),
+    ],
+    ids=["zero-ephemeral", "flip", "drop"],
+)
+def test_replay_verdict_follows_the_wire(tamper, label, reason):
+    """An identity packet that did not read on the wire carries no proof to
+    replay, even under the legacy binding."""
+    script = {
+        "zero-ephemeral": _replace(run_session("noise-xx", 41), "xx-msg2", 0, b"\x00" * 32),
+        "flip": [{"packet": 2, "action": "xor", "offset": 60}],
+        "drop": [{"packet": 2, "action": "drop"}],
+    }[tamper]
+    session = run_session("noise-xx", 41, mode="legacy", script=script)
+    assert session.outcome.status != "completed"
+    out = replay_inject(session, _index_of(session, label))
+    assert not out.accepted and out.reason == reason
 
 
 def test_replay_discv5_handshake_rejected_under_fresh_challenge():
