@@ -352,6 +352,8 @@ def _cmd_slash_check(args, report):
         raise ValueError("one of --attestation or --block is required")
     decision = db.check_and_record(pubkey, record)
     metrics = {"decision": str(decision)}
+    if decision.conflict is not None:
+        metrics["conflicts_with"] = _slash.interchange_record(decision.conflict)
     return (0 if decision else 1), report.finish(str(decision), metrics=metrics)
 
 
@@ -530,6 +532,13 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 2
 
+    if args.handler is _cmd_attack_batch_subgroup and args.suite != "toy":
+        print(
+            "error: attack batch-subgroup needs the composite-order toy group; "
+            "run it with --suite toy",
+            file=sys.stderr,
+        )
+        return 2
     args.seed = args.seed or os.environ.get("LAB_SEED") or DEFAULT_SEED
     try:
         bytes.fromhex(args.seed)

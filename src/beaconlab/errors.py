@@ -8,16 +8,17 @@ class LabError(Exception):
 
 
 class MalformedDocument(LabError):
-    """A JSON document lacks a required field or has one of the wrong type."""
+    """A document lacks a required field or has one of the wrong type or form."""
 
 
 @contextmanager
 def parsing(document: str):
-    """Raise a missing or wrongly typed field of ``document`` as
-    :class:`MalformedDocument` instead of a bare KeyError or TypeError."""
+    """Raise a missing, wrongly typed or ill-formed field of ``document``
+    (say, non-hex bytes) as :class:`MalformedDocument` instead of a bare
+    KeyError, TypeError or ValueError."""
     try:
         yield
-    except (KeyError, TypeError, AttributeError) as exc:
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise MalformedDocument(f"{document}: missing or mistyped field ({exc!r})") from None
 
 

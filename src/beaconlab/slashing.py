@@ -1,23 +1,38 @@
 """Slashable-condition predicates, check-before-sign protection with a
 JSON interchange document, and validation of slashing evidence objects.
 
-The protection store is an append-only JSON-lines file with an in-memory
-index: deterministic, inspectable, and atomic enough for desk scale. A
-candidate is recorded *before* the caller signs, so a crash between the
-two can at worst orphan a record, never double-sign.
+The protection store is an append-only JSON-lines file, and the file is
+the truth. Each handle's in-memory index is a cache of its complete lines,
+brought up to date under the file's exclusive ``flock`` before every
+check, import and export, so two handles (or processes) on one file never
+both Allow a slashable pair. A final line without its newline was never
+acknowledged, since Allow comes only after the fsync; it is cut off.
+Any other line that does not parse raises MalformedDocument with its line
+number. A check appends one line, an import all its lines, each with one
+fsync. A candidate is recorded *before* the caller signs, so a crash
+between the two can at worst orphan a record, never double-sign.
 """
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 
 from . import bls
-from .errors import InterchangeConflict, UnsupportedVersion, WrongChain, parsing
+from .errors import (
+    InterchangeConflict,
+    MalformedDocument,
+    UnsupportedVersion,
+    WrongChain,
+    parsing,
+)
 
 INTERCHANGE_VERSION = "5"
+_decode = json.JSONDecoder().decode  # json.loads(str) without its per-call checks
 
 # Block-inclusion limits for slashing objects.
 MAX_ATTESTER_SLASHINGS = 2
@@ -26,6 +41,7 @@ MAX_PROPOSER_SLASHINGS = 16
 
 @dataclass(frozen=True)
 class AttestationRecord:
+    kind = "attestation"  # a class attribute, not a field
     source_epoch: int
     target_epoch: int
     signing_root: bytes
@@ -43,6 +59,7 @@ class AttestationRecord:
 
 @dataclass(frozen=True)
 class SignedBlockRecord:
+    kind = "block"  # a class attribute, not a field
     slot: int
     signing_root: bytes
 
@@ -88,6 +105,7 @@ def is_slashable_block(a: SignedBlockRecord, b: SignedBlockRecord) -> bool:
 class Decision:
     allowed: bool
     reason: str | None = None
+    conflict: AttestationRecord | SignedBlockRecord | None = None  # the prior record
 
     def __bool__(self):
         return self.allowed
@@ -107,37 +125,86 @@ class ProtectionDB:
             raise ValueError("genesis validators root must be 32 bytes")
         self.path = os.fspath(path)
         self.genesis_validators_root = genesis_validators_root
-        self._attestations = {}  # pubkey hex -> list[AttestationRecord]
-        self._blocks = {}  # pubkey hex -> list[SignedBlockRecord]
-        self._load()
+        self._records = {}  # (pubkey hex, kind) -> {record: None}, in file order
+        self._offset = self._lines = 0  # bytes and complete lines indexed
+        with self._locked():
+            pass  # the lock indexes the file's complete lines
 
-    # -- persistence -------------------------------------------------------
+    @contextmanager
+    def _locked(self):
+        """Hold the file's exclusive lock with the index caught up to it.
+        Yields a list: the (key, record) pairs a caller indexes and stages
+        there are appended on exit with one fsync. On any failure they
+        leave the index again and the offset stays, so the next lock reads
+        back whatever reached the file."""
+        with open(self.path, "a+b") as fh:
+            fcntl.flock(fh, fcntl.LOCK_EX)
+            self._catch_up(fh)
+            staged = []
+            try:
+                yield staged
+                if staged:
+                    fh.writelines(_line(key, record) for key, record in staged)
+                    fh.flush()
+                    os.fsync(fh.fileno())
+            except BaseException:
+                for key, record in staged:
+                    del self._records[key][record]
+                    if not self._records[key]:
+                        del self._records[key]
+                raise
+            self._offset = fh.tell()
+            self._lines += len(staged)
 
-    def _load(self):
-        if not os.path.exists(self.path):
-            return
-        with open(self.path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                entry = json.loads(line)
-                self._index(entry["pubkey"], _record_from_entry(entry))
+    def _catch_up(self, fh):
+        """Index the lines appended since this handle last read the file.
+        A final line without its newline was never acknowledged (Allow
+        comes only after the fsync), so it is cut off."""
+        records, number = self._records, self._lines
+        fh.seek(self._offset)
+        try:
+            for number, line in enumerate(fh, number + 1):
+                if line[-1:] != b"\n":
+                    fh.truncate(fh.tell() - len(line))
+                    fh.seek(0, os.SEEK_END)
+                    number -= 1
+                    break
+                entry = _decode(line.decode())
+                key = (entry["pubkey"], entry["kind"])
+                root = bytes.fromhex(entry["signing_root"])
+                if key[1] == "attestation":
+                    record = AttestationRecord(entry["source_epoch"], entry["target_epoch"], root)
+                elif key[1] == "block":
+                    record = SignedBlockRecord(entry["slot"], root)
+                else:
+                    raise ValueError(f"unknown record kind {key[1]!r}")
+                history = records.get(key)
+                if history is None:
+                    if bytes.fromhex(key[0]).hex() != key[0]:
+                        raise ValueError(f"pubkey {key[0]!r} is not lowercase hex")
+                    history = records[key] = {}
+                history[record] = None
+        except (KeyError, TypeError, ValueError) as exc:
+            raise MalformedDocument(f"{self.path} line {number}: {exc!r}") from None
+        self._offset, self._lines = fh.tell(), number
 
-    def _append(self, pubkey_hex, record):
-        entry = _record_to_entry(pubkey_hex, record)
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(entry, sort_keys=True) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-
-    def _index(self, pubkey_hex, record):
-        if isinstance(record, AttestationRecord):
-            self._attestations.setdefault(pubkey_hex, []).append(record)
-        else:
-            self._blocks.setdefault(pubkey_hex, []).append(record)
-
-    # -- the check-then-record flow ---------------------------------------
+    def _verdict(self, key, record, slashable=True):
+        """ALLOW for an exact replay, a Deny naming the prior record for a
+        slashable one, None for a new safe record. ``slashable=False``
+        runs only the replay test."""
+        history = self._records.get(key, ())
+        if record in history:
+            return ALLOW
+        if slashable and key[1] == "attestation":
+            for prior in history:
+                kind = is_slashable_attestation(record, prior)
+                if kind is not None:
+                    return Decision(False, kind.value, prior)
+        elif slashable:
+            for prior in history:
+                if is_slashable_block(record, prior):
+                    return Decision(False, "double-proposal", prior)
+        return None
 
     def check_and_record(self, pubkey: bytes, candidate) -> Decision:
         """Record the candidate and Allow, unless it conflicts with history.
@@ -145,58 +212,45 @@ class ProtectionDB:
         On Allow the record has already been durably appended, so the
         caller may sign. Storage failures Deny, never Allow.
         """
-        key = pubkey.hex()
-        if isinstance(candidate, AttestationRecord):
-            history = self._attestations.get(key, [])
-            if any(_same_attestation(candidate, r) for r in history):
-                return ALLOW  # exact replay, nothing new to record
-            for prior in history:
-                kind = is_slashable_attestation(candidate, prior)
-                if kind is not None:
-                    return Decision(False, kind.value)
-        elif isinstance(candidate, SignedBlockRecord):
-            history = self._blocks.get(key, [])
-            if any(r == candidate for r in history):
-                return ALLOW
-            if any(is_slashable_block(candidate, r) for r in history):
-                return Decision(False, "double-proposal")
-        else:
+        if not isinstance(candidate, (AttestationRecord, SignedBlockRecord)):
             raise TypeError(f"unsupported candidate type {type(candidate)!r}")
+        key = (pubkey.hex(), candidate.kind)
         try:
-            self._append(key, candidate)
+            with self._locked() as staged:
+                decision = self._verdict(key, candidate)
+                if decision is None:
+                    self._records.setdefault(key, {})[candidate] = None
+                    staged.append((key, candidate))
+                    decision = ALLOW
         except OSError as exc:
             return Decision(False, f"storage: {exc}")
-        self._index(key, candidate)
-        return ALLOW
+        return decision
 
     # -- interchange -------------------------------------------------------
 
     def export_interchange(self) -> dict:
-        data = []
-        for key in sorted(set(self._attestations) | set(self._blocks)):
-            data.append(
+        with self._locked():
+            records = self._records
+            data = [
                 {
                     "pubkey": "0x" + key,
                     "signed_blocks": [
-                        {"slot": str(r.slot), "signing_root": "0x" + r.signing_root.hex()}
+                        interchange_record(r)
                         for r in sorted(
-                            self._blocks.get(key, []),
+                            records.get((key, "block"), ()),
                             key=lambda r: (r.slot, r.signing_root),
                         )
                     ],
                     "signed_attestations": [
-                        {
-                            "source_epoch": str(r.source_epoch),
-                            "target_epoch": str(r.target_epoch),
-                            "signing_root": "0x" + r.signing_root.hex(),
-                        }
+                        interchange_record(r)
                         for r in sorted(
-                            self._attestations.get(key, []),
+                            records.get((key, "attestation"), ()),
                             key=lambda r: (r.source_epoch, r.target_epoch, r.signing_root),
                         )
                     ],
                 }
-            )
+                for key in sorted({key for key, _ in records})
+            ]
         return {
             "metadata": {
                 "interchange_format_version": INTERCHANGE_VERSION,
@@ -206,11 +260,11 @@ class ProtectionDB:
         }
 
     def import_interchange(self, doc: dict, *, reject_conflicts: bool = True) -> dict:
-        """Merge an interchange document into this database.
+        """Merge an interchange document into this database with one fsync.
 
         In reject mode, any imported record that is slashable against the
-        existing history (or the rest of the document) aborts the import
-        before anything is written.
+        existing history (or the document's records before it) aborts the
+        import before anything is written.
         """
         with parsing("interchange document"):
             meta = doc.get("metadata", {})
@@ -221,102 +275,49 @@ class ProtectionDB:
             if root != self.genesis_validators_root:
                 raise WrongChain("genesis validators root does not match this database")
 
-            staged = []  # (pubkey hex, record)
+            records = []  # (key, record)
             for validator in doc.get("data", []):
-                key = _parse_hex(validator["pubkey"]).hex()
+                pubkey = _parse_hex(validator["pubkey"]).hex()
+                key = (pubkey, "block")
                 for blk in validator.get("signed_blocks", []):
-                    staged.append(
-                        (key, SignedBlockRecord(int(blk["slot"]), _parse_hex(blk["signing_root"])))
-                    )
+                    root = _parse_hex(blk["signing_root"])
+                    records.append((key, SignedBlockRecord(int(blk["slot"]), root)))
+                key = (pubkey, "attestation")
                 for att in validator.get("signed_attestations", []):
-                    staged.append(
-                        (
-                            key,
-                            AttestationRecord(
-                                int(att["source_epoch"]),
-                                int(att["target_epoch"]),
-                                _parse_hex(att["signing_root"]),
-                            ),
-                        )
+                    source, target = int(att["source_epoch"]), int(att["target_epoch"])
+                    record = AttestationRecord(source, target, _parse_hex(att["signing_root"]))
+                    records.append((key, record))
+
+        skipped = 0
+        with self._locked() as staged:
+            for item in records:
+                key, record = item
+                verdict = self._verdict(key, record, slashable=reject_conflicts)
+                if verdict is None:
+                    self._records.setdefault(key, {})[record] = None
+                    staged.append(item)
+                elif verdict:
+                    skipped += 1
+                else:
+                    raise InterchangeConflict(
+                        f"validator 0x{key[0]}: {verdict.reason} between {record} "
+                        f"and {verdict.conflict}"
                     )
-
-        if reject_conflicts:
-            combined = {}
-            for key in set(self._attestations) | set(self._blocks):
-                combined[key] = list(self._attestations.get(key, [])) + list(
-                    self._blocks.get(key, [])
-                )
-            for key, record in staged:
-                for prior in combined.get(key, []):
-                    conflict = _conflict(record, prior)
-                    if conflict:
-                        raise InterchangeConflict(
-                            f"validator 0x{key}: {conflict} between {record} and {prior}"
-                        )
-                combined.setdefault(key, []).append(record)
-
-        imported = skipped = 0
-        for key, record in staged:
-            history = (
-                self._attestations.get(key, [])
-                if isinstance(record, AttestationRecord)
-                else self._blocks.get(key, [])
-            )
-            if isinstance(record, AttestationRecord):
-                duplicate = any(_same_attestation(record, r) for r in history)
-            else:
-                duplicate = record in history
-            if duplicate:
-                skipped += 1
-                continue
-            self._append(key, record)
-            self._index(key, record)
-            imported += 1
-        return {"imported": imported, "skipped": skipped}
+        return {"imported": len(staged), "skipped": skipped}
 
 
-def _conflict(a, b):
-    if isinstance(a, AttestationRecord) and isinstance(b, AttestationRecord):
-        if _same_attestation(a, b):
-            return None
-        kind = is_slashable_attestation(a, b)
-        return kind.value if kind else None
-    if isinstance(a, SignedBlockRecord) and isinstance(b, SignedBlockRecord):
-        return "double-proposal" if is_slashable_block(a, b) else None
-    return None
+def interchange_record(record) -> dict:
+    """A record in interchange form: decimal strings and a 0x root."""
+    root = "0x" + record.signing_root.hex()
+    if record.kind == "block":
+        return {"slot": str(record.slot), "signing_root": root}
+    source, target = str(record.source_epoch), str(record.target_epoch)
+    return {"source_epoch": source, "target_epoch": target, "signing_root": root}
 
 
-def _same_attestation(a, b):
-    return (
-        a.source_epoch == b.source_epoch
-        and a.target_epoch == b.target_epoch
-        and a.signing_root == b.signing_root
-    )
-
-
-def _record_to_entry(pubkey_hex, record):
-    if isinstance(record, AttestationRecord):
-        return {
-            "pubkey": pubkey_hex,
-            "kind": "attestation",
-            "source_epoch": record.source_epoch,
-            "target_epoch": record.target_epoch,
-            "signing_root": record.signing_root.hex(),
-        }
-    return {
-        "pubkey": pubkey_hex,
-        "kind": "block",
-        "slot": record.slot,
-        "signing_root": record.signing_root.hex(),
-    }
-
-
-def _record_from_entry(entry):
-    if entry["kind"] == "attestation":
-        return AttestationRecord(
-            entry["source_epoch"], entry["target_epoch"], bytes.fromhex(entry["signing_root"])
-        )
-    return SignedBlockRecord(entry["slot"], bytes.fromhex(entry["signing_root"]))
+def _line(key, record):
+    entry = dict(vars(record), pubkey=key[0], kind=key[1], signing_root=record.signing_root.hex())
+    return (json.dumps(entry, sort_keys=True) + "\n").encode()
 
 
 def _parse_hex(value: str) -> bytes:

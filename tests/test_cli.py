@@ -65,6 +65,14 @@ def test_missing_file_is_usage_error(capsys, tmp_path):
     assert code == 2 and "error" in err
 
 
+def test_batch_subgroup_on_the_real_curve_is_usage_error(capsys):
+    """The demo runs on the composite-order toy group only; a report that
+    said bls12-381 would name a curve on which nothing ran."""
+    code, out, err = run(capsys, "--suite", "bls12-381", "attack", "batch-subgroup")
+    assert code == 2 and out == ""
+    assert "--suite toy" in err and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # Report shape and determinism
 # ---------------------------------------------------------------------------
@@ -298,6 +306,34 @@ def test_slash_check_allows_then_denies(capsys, tmp_path):
         "--attestation", "1,2," + "bb" * 32,
     )
     assert code == 1 and doc["outcome"].startswith("Deny")
+
+
+def test_slash_check_deny_names_the_conflicting_record(capsys, tmp_path):
+    db = str(tmp_path / "p.jsonl")
+    check = ("slash", "check", "--db", db, "--pubkey", "11" * 48, "--attestation")
+    code, doc = run_json(capsys, *check, "1,4," + "aa" * 32)
+    assert code == 0 and "conflicts_with" not in doc["metrics"]
+    code, doc = run_json(capsys, *check, "2,3," + "bb" * 32)
+    assert code == 1 and doc["outcome"] == doc["metrics"]["decision"] == "Deny(surround)"
+    assert doc["metrics"]["conflicts_with"] == {
+        "source_epoch": "1",
+        "target_epoch": "4",
+        "signing_root": "0x" + "aa" * 32,
+    }
+
+
+@pytest.mark.parametrize(
+    "line, command",
+    [("{}", ("check", "--pubkey", "11", "--block", "5," + "cc" * 32)), ("not json", ("export",))],
+    ids=["empty-object-check", "not-json-export"],
+)
+def test_slash_on_a_malformed_db_line_is_a_typed_error(capsys, tmp_path, line, command):
+    db = tmp_path / "p.jsonl"
+    db.write_text(line + "\n")
+    code, out, err = run(capsys, "--json", "--no-timestamp", "slash", command[0], "--db", str(db),
+                         *command[1:])
+    assert code == 1 and "Traceback" not in err
+    assert json.loads(out)["outcome"].startswith(f"error: {db} line 1: ")
 
 
 def test_slash_export_import_cycle(capsys, tmp_path):

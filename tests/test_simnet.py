@@ -74,7 +74,14 @@ def test_transcript_json_roundtrip():
     assert back.meta["variant"] == "kk"
 
 
-@pytest.mark.parametrize("doc", [{}, {"entries": [{"label": "xx-msg1", "data": ""}]}])
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {},
+        {"entries": [{"label": "xx-msg1", "data": ""}]},
+        {"entries": [{"direction": "i->r", "label": "xx-msg1", "data": "zz"}]},  # non-hex
+    ],
+)
 def test_transcript_from_json_rejects_a_malformed_document(doc):
     with pytest.raises(MalformedDocument):
         Transcript.from_json(doc)

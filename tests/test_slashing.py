@@ -3,12 +3,23 @@ interchange format, and evidence validation."""
 
 import itertools
 import json
+import os
 import random
+import shutil
+import tempfile
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule, run_state_machine_as_test
 
 from beaconlab import bls, slashing
-from beaconlab.errors import InterchangeConflict, UnsupportedVersion, WrongChain
+from beaconlab.errors import (
+    InterchangeConflict,
+    MalformedDocument,
+    UnsupportedVersion,
+    WrongChain,
+)
 
 ROOT_A = b"\xaa" * 32
 ROOT_B = b"\xbb" * 32
@@ -87,6 +98,10 @@ def _db(tmp_path, name="protection.jsonl"):
     return slashing.ProtectionDB(tmp_path / name, GENESIS)
 
 
+def _attestation_count(db):
+    return sum(len(v["signed_attestations"]) for v in db.export_interchange()["data"])
+
+
 def test_record_then_deny_conflicts(tmp_path):
     db = _db(tmp_path)
     pubkey = b"\x01" * 48
@@ -102,7 +117,7 @@ def test_exact_replay_is_idempotent(tmp_path):
     pubkey = b"\x01" * 48
     assert db.check_and_record(pubkey, att(1, 2))
     assert db.check_and_record(pubkey, att(1, 2))  # same vote, same root
-    assert len(db._attestations[pubkey.hex()]) == 1
+    assert _attestation_count(db) == 1
 
 
 def test_validators_are_isolated(tmp_path):
@@ -137,6 +152,99 @@ def test_storage_failure_denies(tmp_path):
     db.path = str(tmp_path / "missing-dir" / "p.jsonl")
     decision = db.check_and_record(b"\x05" * 48, att(1, 2))
     assert not decision and decision.reason.startswith("storage:")
+
+
+def test_two_handles_never_both_allow_a_double_vote(tmp_path):
+    first, second = _db(tmp_path), _db(tmp_path)
+    pubkey = b"\x06" * 48
+    assert first.check_and_record(pubkey, att(1, 5))
+    deny = second.check_and_record(pubkey, att(2, 5, ROOT_B))
+    assert str(deny) == "Deny(double-vote)" and deny.conflict == att(1, 5)
+
+
+def test_deny_names_the_prior_record(tmp_path):
+    db = _db(tmp_path)
+    pubkey = b"\x07" * 48
+    blk = slashing.SignedBlockRecord
+    for record in (att(1, 2), att(4, 9), blk(3, ROOT_A)):
+        assert db.check_and_record(pubkey, record).conflict is None
+    deny = db.check_and_record(pubkey, att(5, 6))
+    assert str(deny) == "Deny(surround)" and deny.conflict == att(4, 9)
+    deny = db.check_and_record(pubkey, blk(3, ROOT_B))
+    assert str(deny) == "Deny(double-proposal)" and deny.conflict == blk(3, ROOT_A)
+    assert db.check_and_record(pubkey, att(1, 2)).conflict is None  # a replay
+
+
+def test_allow_appends_one_line_and_deny_or_replay_none(tmp_path):
+    path = tmp_path / "p.jsonl"
+    db = slashing.ProtectionDB(path, GENESIS)
+    pubkey = b"\x09" * 48
+    assert db.check_and_record(pubkey, att(1, 2))
+    size = path.stat().st_size
+    assert path.read_bytes().count(b"\n") == 1 and path.read_bytes().endswith(b"\n")
+    assert db.check_and_record(pubkey, att(1, 2))
+    assert not db.check_and_record(pubkey, att(1, 2, ROOT_B))
+    assert path.stat().st_size == size
+
+
+def test_every_prefix_of_the_file_opens_with_its_complete_lines(tmp_path, monkeypatch):
+    """Cut a file written by a sequence of Allows at every byte offset. The
+    cut opens with exactly the records whose line is complete, Denies a
+    record slashable against any of them, and takes a later append."""
+    monkeypatch.setattr(os, "fsync", lambda fd: None)  # durability is not under test
+    blk = slashing.SignedBlockRecord
+    records = [att(1, 2), blk(3, ROOT_A), att(2, 4, ROOT_B), att(4, 5)]
+    # Each of these is slashable against the record at its index only.
+    slashable = [att(1, 2, ROOT_B), blk(3, ROOT_B), att(3, 4), att(4, 5, ROOT_B)]
+    pubkey = b"\x08" * 4
+    db = _db(tmp_path, "full.jsonl")
+    exports = [db.export_interchange()]
+    for record in records:
+        assert db.check_and_record(pubkey, record)
+        exports.append(db.export_interchange())
+    data = (tmp_path / "full.jsonl").read_bytes()
+    path = tmp_path / "cut.jsonl"
+    for cut in range(len(data) + 1):
+        path.write_bytes(data[:cut])
+        complete = data[:cut].count(b"\n")
+        db = slashing.ProtectionDB(path, GENESIS)
+        assert db.export_interchange() == exports[complete], cut
+        assert path.read_bytes() == b"".join(data.splitlines(True)[:complete])
+        for record, prior in zip(slashable[:complete], records):
+            assert db.check_and_record(pubkey, record).conflict == prior, cut
+        if complete < len(records):
+            assert db.check_and_record(pubkey, records[complete])
+            reopened = slashing.ProtectionDB(path, GENESIS)
+            assert reopened.export_interchange() == exports[complete + 1], cut
+
+
+@pytest.mark.parametrize(
+    "line, fault",
+    [
+        (b"{}", "KeyError"),
+        (b"not json", "JSONDecodeError"),
+        (b"[]", "TypeError"),
+        (b'{"kind": "vote", "pubkey": "08", "signing_root": "' + b"aa" * 32 + b'"}', "kind"),
+        (b'{"kind": "block", "pubkey": "0X", "signing_root": "' + b"aa" * 32 + b'", "slot": 1}',
+         "hex"),
+        (b'{"kind": "block", "pubkey": "08", "signing_root": "zz", "slot": 1}', "hex"),
+        (b'{"kind": "block", "pubkey": "08", "signing_root": "' + b"aa" * 32 + b'", "slot": -1}',
+         "non-negative"),
+    ],
+    ids=["empty-object", "not-json", "list", "unknown-kind", "bad-pubkey", "bad-root", "bad-slot"],
+)
+def test_a_malformed_complete_line_is_a_typed_error(tmp_path, line, fault):
+    path = tmp_path / "p.jsonl"
+    db = slashing.ProtectionDB(path, GENESIS)
+    assert db.check_and_record(b"\x08", att(1, 2))
+    with open(path, "ab") as fh:
+        fh.write(line + b"\n")
+    for fails in (
+        lambda: slashing.ProtectionDB(path, GENESIS),
+        lambda: db.check_and_record(b"\x08", att(2, 3)),
+    ):
+        with pytest.raises(MalformedDocument, match=f"line 2: .*{fault}"):
+            fails()
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +325,170 @@ def test_import_rejects_conflicting_history(tmp_path):
         db.import_interchange(doc)
     assert "01" * 8 in str(exc.value)  # names the offending validator
     # Nothing was written by the aborted import.
-    assert len(db._attestations[("01" * 48)]) == 1
+    assert _attestation_count(db) == 1
+
+
+def test_aborted_import_leaves_file_and_export_unchanged(tmp_path):
+    path = tmp_path / "p.jsonl"
+    db = slashing.ProtectionDB(path, GENESIS)
+    db.check_and_record(b"\x01" * 48, att(1, 4))
+    before, export = path.read_bytes(), db.export_interchange()
+    doc = _doc(
+        (b"\x02" * 48, [att(1, 2)]),  # a new validator, staged first
+        (b"\x01" * 48, [att(5, 6), att(2, 3)]),  # (2, 3) is surrounded by (1, 4)
+    )
+    with pytest.raises(InterchangeConflict, match="surround"):
+        db.import_interchange(doc)
+    assert path.read_bytes() == before and db.export_interchange() == export
+
+
+def test_import_checks_each_record_against_the_ones_before_it(tmp_path):
+    db = _db(tmp_path)
+    doc = _doc((b"\x01" * 48, [att(1, 5), att(2, 5, ROOT_B)]))
+    with pytest.raises(InterchangeConflict, match="double-vote"):
+        db.import_interchange(doc)
+    assert db.import_interchange(doc, reject_conflicts=False) == {"imported": 2, "skipped": 0}
+
+
+def test_import_pays_one_fsync(tmp_path, monkeypatch):
+    db = _db(tmp_path)
+    fsyncs = []
+    fsync = os.fsync
+    monkeypatch.setattr(os, "fsync", lambda fd: fsyncs.append(fd) or fsync(fd))
+    doc = _doc((b"\x01" * 48, [att(k, k + 1) for k in range(10)]))
+    assert db.import_interchange(doc) == {"imported": 10, "skipped": 0}
+    assert len(fsyncs) == 1
+
+
+def _doc(*validators):
+    """An interchange document of (pubkey, records) pairs."""
+    return {
+        "metadata": {
+            "interchange_format_version": "5",
+            "genesis_validators_root": "0x" + GENESIS.hex(),
+        },
+        "data": [
+            {
+                "pubkey": "0x" + pubkey.hex(),
+                **{
+                    f"signed_{kind}s": [
+                        slashing.interchange_record(r) for r in records if r.kind == kind
+                    ]
+                    for kind in ("block", "attestation")
+                },
+            }
+            for pubkey, records in validators
+        ],
+    }
+
+
+# ---------------------------------------------------------------------------
+# Two handles under checks, imports and reopens, against the oracle
+# ---------------------------------------------------------------------------
+
+PUBKEYS = (b"\x0a" * 4, b"\x0b" * 4)
+_roots = st.sampled_from((ROOT_A, ROOT_B))
+_attestations = st.builds(
+    lambda s, d, r: att(s, s + d, r), st.integers(0, 5), st.integers(1, 3), _roots
+)
+_blocks = st.builds(slashing.SignedBlockRecord, st.integers(0, 3), _roots)
+_records = st.one_of(_attestations, _blocks)
+
+
+def _expected(history, record):
+    """(outcome, prior) for ``record`` against ``history`` in file order,
+    from the pairwise oracle."""
+    if record in history:
+        return "Allow", None
+    for prior in history:
+        if isinstance(record, slashing.AttestationRecord):
+            reason = isinstance(prior, slashing.AttestationRecord) and _oracle(record, prior)
+        else:
+            same_slot = isinstance(prior, slashing.SignedBlockRecord) and prior.slot == record.slot
+            reason = same_slot and prior.signing_root != record.signing_root and "double-proposal"
+        if reason:
+            return f"Deny({reason})", prior
+    return "Allow", None
+
+
+class TwoHandles(RuleBasedStateMachine):
+    def __init__(self):
+        super().__init__()
+        self.dir = tempfile.mkdtemp()
+        self.path = os.path.join(self.dir, "p.jsonl")
+        self.handles = [slashing.ProtectionDB(self.path, GENESIS) for _ in range(2)]
+        self.model = {pubkey: [] for pubkey in PUBKEYS}  # records in file order
+
+    def teardown(self):
+        shutil.rmtree(self.dir)
+
+    @rule(h=st.integers(0, 1), pubkey=st.sampled_from(PUBKEYS), record=_records)
+    def check(self, h, pubkey, record):
+        history = self.model[pubkey]
+        outcome, prior = _expected(history, record)
+        decision = self.handles[h].check_and_record(pubkey, record)
+        assert (str(decision), decision.conflict) == (outcome, prior)
+        if decision and record not in history:
+            history.append(record)
+
+    @rule(
+        h=st.integers(0, 1),
+        entries=st.lists(st.tuples(st.sampled_from(PUBKEYS), _records), max_size=4),
+    )
+    def import_(self, h, entries):
+        data = {}  # pubkey -> records
+        for pubkey, record in entries:
+            data.setdefault(pubkey, []).append(record)
+        doc = _doc(*data.items())
+        # The import reads each validator's blocks, then its attestations.
+        staged = {pubkey: list(records) for pubkey, records in self.model.items()}
+        skipped = 0
+        for pubkey, records in data.items():
+            for record in sorted(records, key=lambda r: r.kind == "attestation"):
+                outcome, prior = _expected(staged[pubkey], record)
+                if prior is not None:
+                    with pytest.raises(InterchangeConflict, match=outcome[len("Deny(") : -1]):
+                        self.handles[h].import_interchange(doc)
+                    return
+                if record in staged[pubkey]:
+                    skipped += 1
+                else:
+                    staged[pubkey].append(record)
+        imported = sum(map(len, staged.values())) - sum(map(len, self.model.values()))
+        assert self.handles[h].import_interchange(doc) == {"imported": imported, "skipped": skipped}
+        self.model = staged
+
+    @rule(h=st.integers(0, 1))
+    def reopen(self, h):
+        self.handles[h] = slashing.ProtectionDB(self.path, GENESIS)
+
+    @invariant()
+    def handles_export_the_model(self):
+        model = {
+            ("0x" + pubkey.hex(), json.dumps(slashing.interchange_record(r), sort_keys=True))
+            for pubkey, records in self.model.items()
+            for r in records
+        }
+        for db in self.handles:
+            exported = {
+                (v["pubkey"], json.dumps(r, sort_keys=True))
+                for v in db.export_interchange()["data"]
+                for r in v["signed_blocks"] + v["signed_attestations"]
+            }
+            assert exported == model
+
+    @invariant()
+    def no_slashable_pair_is_recorded(self):
+        for records in self.model.values():
+            for k, record in enumerate(records):
+                assert _expected(records[:k], record) == ("Allow", None)
+
+
+def test_two_handles_agree_with_the_pairwise_oracle(monkeypatch):
+    monkeypatch.setattr(os, "fsync", lambda fd: None)  # durability is not under test
+    run_state_machine_as_test(
+        TwoHandles, settings=settings(max_examples=40, stateful_step_count=25, deadline=None)
+    )
 
 
 # ---------------------------------------------------------------------------
