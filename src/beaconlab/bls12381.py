@@ -1,11 +1,16 @@
 """Minimal BLS12-381 arithmetic backend.
 
-Affine curve arithmetic over the base field tower Fq -> Fq2 -> Fq12, the
-ate pairing (a Miller loop on the twist E'(Fq2) with sparse line values, and
-a final exponentiation split into an easy part and an exact x-power chain
-for the hard part), hash-to-curve for G2 (expand_message_xmd +
+Curve arithmetic over the base field tower Fq -> Fq2 -> Fq12, the ate
+pairing (a Miller loop on the twist E'(Fq2) with sparse line values, and a
+final exponentiation split into an easy part and an exact x-power chain for
+the hard part), hash-to-curve for G2 (expand_message_xmd +
 Shallue-van de Woestijne map + cofactor clearing), and ZCash-convention
 compressed point encodings.
+
+Points are affine tuples (x, y), with None for the point at infinity O.
+Scalar multiplication runs in Jacobian coordinates inside ``multiply`` and
+pays one field inversion per call, where an affine add or double pays one
+each; the affine double-and-add stays in the tests as its oracle.
 
 The endomorphisms sigma of E and psi of the twist E' make the subgroup
 checks and cofactor clearing cheap: the G1 and G2 checks compare sigma(P)
@@ -245,16 +250,51 @@ class FQP:
 
 
 class FQ2(FQP):
-    """Fq2 = Fq[u] / (u^2 + 1)."""
+    """Fq2 = Fq[u] / (u^2 + 1).
+
+    Sums, differences and products of two Fq2 elements reduce their two
+    coefficients directly; other operands take the generic FQP path.
+    """
 
     degree = 2
     modulus_coeffs = (1, 0)
+
+    def __add__(self, other):
+        if type(other) is not FQ2:
+            return FQP.__add__(self, other)
+        (a0, a1), (b0, b1) = self.coeffs, other.coeffs
+        return _fq2((a0 + b0) % _Q, (a1 + b1) % _Q)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if type(other) is not FQ2:
+            return FQP.__sub__(self, other)
+        (a0, a1), (b0, b1) = self.coeffs, other.coeffs
+        return _fq2((a0 - b0) % _Q, (a1 - b1) % _Q)
+
+    def __mul__(self, other):
+        if type(other) is not FQ2:
+            return FQP.__mul__(self, other)
+        # Karatsuba with u^2 = -1: three integer products.
+        (a0, a1), (b0, b1) = self.coeffs, other.coeffs
+        t0, t1 = a0 * b0, a1 * b1
+        return _fq2((t0 - t1) % _Q, ((a0 + a1) * (b0 + b1) - t0 - t1) % _Q)
+
+    __rmul__ = __mul__
 
     def inv(self):
         # 1/(a + bu) = (a - bu) / (a^2 + b^2).
         a, b = self.coeffs
         k = FQ(a * a + b * b).inv().n
         return FQ2([a * k, -b * k])
+
+
+def _fq2(c0, c1):
+    """An FQ2 from two coefficients already reduced mod q."""
+    out = FQ2.__new__(FQ2)
+    out.coeffs = (c0, c1)
+    return out
 
 
 class FQ12(FQP):
@@ -377,16 +417,71 @@ def neg(pt):
 
 
 def multiply(pt, n):
+    """[n]P for an affine P, by a left-to-right ladder in Jacobian
+    coordinates with one inversion at the end.
+
+    (X, Y, Z) stands for the affine point (X / Z^2, Y / Z^3), and R = None
+    is O. Every step doubles R, and every set bit adds the affine P to it.
+    From O, the ladder restarts at P on the next set bit.
+    """
     if n < 0:
-        return multiply(neg(pt), -n)
-    result = None
-    addend = pt
-    while n:
-        if n & 1:
-            result = add(result, addend)
-        addend = double(addend)
-        n >>= 1
-    return result
+        pt, n = neg(pt), -n
+    if pt is None or n == 0:
+        return None
+    x, y = pt
+    r = start = (x, y, type(x).one())
+    for i in range(n.bit_length() - 2, -1, -1):
+        if r is not None:
+            r = _jacobian_double(r)
+        if n >> i & 1:
+            r = start if r is None else _jacobian_add_affine(r, x, y)
+    if r is None:
+        return None
+    x3, y3, z3 = r
+    zi = z3.inv()
+    zi2 = zi * zi
+    return (x3 * zi2, y3 * zi2 * zi)
+
+
+def _jacobian_double(r):
+    """2R by "dbl-2009-l" for a = 0 (hyperelliptic.org/EFD,
+    g1p/auto-shortw-jacobian-0). Y = 0 would give Z = 0, that is O; but
+    E(Fq) and E'(Fq2) have odd order, so no point of either has Y = 0."""
+    x1, y1, z1 = r
+    a = x1 * x1
+    b = y1 * y1
+    c = b * b
+    d = x1 + b
+    d = d * d - a - c
+    d = d + d
+    e = a + a + a
+    x3 = e * e - d - d
+    c = c + c
+    c = c + c
+    c = c + c
+    z3 = y1 * z1
+    return (x3, e * (d - x3) - c, z3 + z3)
+
+
+def _jacobian_add_affine(r, x2, y2):
+    """R + (x2, y2) by the mixed addition "madd-2007-bl" (same source).
+    H = 0 means that R is +-P: double it, or go to O."""
+    x1, y1, z1 = r
+    z1z1 = z1 * z1
+    h = x2 * z1z1 - x1
+    s = y2 * z1 * z1z1 - y1
+    if h == 0:
+        return _jacobian_double(r) if s == 0 else None
+    hh = h * h
+    i = hh + hh
+    i = i + i
+    j = h * i
+    s = s + s
+    v = x1 * i
+    x3 = s * s - j - v - v
+    y1j = y1 * j
+    z3 = z1 + h
+    return (x3, s * (v - x3) - y1j - y1j, z3 * z3 - z1z1 - hh)
 
 
 # ---------------------------------------------------------------------------

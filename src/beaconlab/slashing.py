@@ -11,6 +11,12 @@ Any other line that does not parse raises MalformedDocument with its line
 number. A check appends one line, an import all its lines, each with one
 fsync. A candidate is recorded *before* the caller signs, so a crash
 between the two can at worst orphan a record, never double-sign.
+
+Validators are keyed by their 48-byte public key (EIP-3076). A key of any
+other length is refused where it enters: a check raises InvalidEncoding,
+and an interchange document or a stored line raises MalformedDocument. So
+a file that holds a shorter key, which earlier versions accepted, no
+longer opens.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from enum import Enum
 from . import bls
 from .errors import (
     InterchangeConflict,
+    InvalidEncoding,
     MalformedDocument,
     UnsupportedVersion,
     WrongChain,
@@ -33,6 +40,10 @@ from .errors import (
 
 INTERCHANGE_VERSION = "5"
 _decode = json.JSONDecoder().decode  # json.loads(str) without its per-call checks
+
+# EIP-3076 keys validators by their 48-byte compressed BLS12-381 G1 key. The
+# length is the whole rule: a check does not pay for a decompression.
+PUBKEY_BYTES = 48
 
 # Block-inclusion limits for slashing objects.
 MAX_ATTESTER_SLASHINGS = 2
@@ -180,7 +191,7 @@ class ProtectionDB:
                     raise ValueError(f"unknown record kind {key[1]!r}")
                 history = records.get(key)
                 if history is None:
-                    if bytes.fromhex(key[0]).hex() != key[0]:
+                    if _pubkey_hex(bytes.fromhex(key[0])) != key[0]:
                         raise ValueError(f"pubkey {key[0]!r} is not lowercase hex")
                     history = records[key] = {}
                 history[record] = None
@@ -214,7 +225,10 @@ class ProtectionDB:
         """
         if not isinstance(candidate, (AttestationRecord, SignedBlockRecord)):
             raise TypeError(f"unsupported candidate type {type(candidate)!r}")
-        key = (pubkey.hex(), candidate.kind)
+        try:
+            key = (_pubkey_hex(pubkey), candidate.kind)
+        except ValueError as exc:
+            raise InvalidEncoding(str(exc)) from None
         try:
             with self._locked() as staged:
                 decision = self._verdict(key, candidate)
@@ -277,7 +291,7 @@ class ProtectionDB:
 
             records = []  # (key, record)
             for validator in doc.get("data", []):
-                pubkey = _parse_hex(validator["pubkey"]).hex()
+                pubkey = _pubkey_hex(_parse_hex(validator["pubkey"]))
                 key = (pubkey, "block")
                 for blk in validator.get("signed_blocks", []):
                     root = _parse_hex(blk["signing_root"])
@@ -318,6 +332,14 @@ def interchange_record(record) -> dict:
 def _line(key, record):
     entry = dict(vars(record), pubkey=key[0], kind=key[1], signing_root=record.signing_root.hex())
     return (json.dumps(entry, sort_keys=True) + "\n").encode()
+
+
+def _pubkey_hex(pubkey: bytes) -> str:
+    """A validator's index key: its public key in hex, if it is exactly
+    PUBKEY_BYTES long."""
+    if len(pubkey) != PUBKEY_BYTES:
+        raise ValueError(f"validator public key must be {PUBKEY_BYTES} bytes, got {len(pubkey)}")
+    return pubkey.hex()
 
 
 def _parse_hex(value: str) -> bytes:

@@ -122,9 +122,6 @@ class GtElement:
     def __pow__(self, k):
         return GtElement(self.suite, self.suite._gt_power(self.value, k))
 
-    def is_identity(self):
-        return self.suite._gt_is_identity(self.value)
-
     def __eq__(self, other):
         if type(other) is not GtElement:
             return NotImplemented
@@ -302,9 +299,6 @@ class ToySuite(PairingSuite):
     def _gt_power(self, a, k):
         return (a * k) % self.modulus
 
-    def _gt_is_identity(self, a):
-        return a % self.modulus == 0
-
     def hash_to_group2(self, message, dst=None):
         dst = self.dst if dst is None else dst
         if not dst:
@@ -412,9 +406,6 @@ class Bls12381Suite(PairingSuite):
 
     def _gt_power(self, a, k):
         return a**k
-
-    def _gt_is_identity(self, a):
-        return a == _bk.GT_ONE
 
     def hash_to_group2(self, message, dst=None):
         dst = self.dst if dst is None else dst

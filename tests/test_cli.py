@@ -324,7 +324,8 @@ def test_slash_check_deny_names_the_conflicting_record(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "line, command",
-    [("{}", ("check", "--pubkey", "11", "--block", "5," + "cc" * 32)), ("not json", ("export",))],
+    [("{}", ("check", "--pubkey", "11" * 48, "--block", "5," + "cc" * 32)),
+     ("not json", ("export",))],
     ids=["empty-object-check", "not-json-export"],
 )
 def test_slash_on_a_malformed_db_line_is_a_typed_error(capsys, tmp_path, line, command):
@@ -334,6 +335,16 @@ def test_slash_on_a_malformed_db_line_is_a_typed_error(capsys, tmp_path, line, c
                          *command[1:])
     assert code == 1 and "Traceback" not in err
     assert json.loads(out)["outcome"].startswith(f"error: {db} line 1: ")
+
+
+@pytest.mark.parametrize("pubkey", ["11", "0011", "11" * 47, "11" * 49])
+def test_slash_check_refuses_a_key_that_is_not_48_bytes(capsys, tmp_path, pubkey):
+    db = tmp_path / "p.jsonl"
+    block = ("--block", "5," + "cc" * 32)
+    code, doc = run_json(capsys, "slash", "check", "--db", str(db), "--pubkey", pubkey, *block)
+    assert code == 1
+    assert doc["outcome"] == f"error: validator public key must be 48 bytes, got {len(pubkey) // 2}"
+    assert db.read_bytes() == b""
 
 
 def test_slash_export_import_cycle(capsys, tmp_path):

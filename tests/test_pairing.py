@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from beaconlab import bls
 from beaconlab import bls12381 as b
@@ -105,6 +107,60 @@ def test_decompress_rejects_non_curve_x():
         except ValueError:
             return
     pytest.fail("no off-curve x found near the generator")
+
+
+# ---------------------------------------------------------------------------
+# Scalar multiplication: the Jacobian ladder against the affine
+# double-and-add, which pays one inversion per add or double.
+# ---------------------------------------------------------------------------
+
+
+def affine_multiply(pt, n):
+    """The definition of [n]P, and the oracle for multiply."""
+    if n < 0:
+        return affine_multiply(b.neg(pt), -n)
+    result, addend = None, pt
+    while n:
+        if n & 1:
+            result = b.add(result, addend)
+        addend = b.double(addend)
+        n >>= 1
+    return result
+
+
+def _ladder_point(suite, name):
+    if name.startswith("torsion-"):
+        return suite.small_order_g2(int(name[len("torsion-"):])).value
+    if name == "map-output":  # on the twist, off the subgroup
+        return b.map_to_curve_g2(b.hash_to_field_fq2(b"ladder", b"TEST-DST", 1)[0])
+    return {"G1": b.G1, "G2": b.G2, "O": None}[name]
+
+
+_R = b.CURVE_ORDER
+_SCALARS = st.one_of(
+    st.integers(-40, 40),
+    st.integers(-(2**300), 2**300),
+    st.sampled_from([_R - 1, _R, _R + 1, 2 * _R + 13, -_R - 5, b.PARAM_X]),
+)
+
+
+# On the order-13 point, 13 = 0b1101 ends at [12]T + T = O (H = 0 with R = -T),
+# 15 = 0b1111 reaches [14]T + T = 2T (H = 0 with R = T), and 27 restarts at T
+# after O.
+@pytest.mark.parametrize("name", ["G1", "G2", "O", "torsion-13", "torsion-23", "map-output"])
+@settings(max_examples=25, deadline=None)
+@given(n=_SCALARS)
+@example(n=0)
+@example(n=13)
+@example(n=15)
+@example(n=23)
+@example(n=27)
+@example(n=-_R)
+def test_multiply_matches_the_affine_double_and_add(production, name, n):
+    pt = _ladder_point(production, name)
+    result = b.multiply(pt, n)
+    assert result == affine_multiply(pt, n)
+    assert result is None or b.is_on_curve(result, b.B1 if name == "G1" else b.B2)
 
 
 # ---------------------------------------------------------------------------

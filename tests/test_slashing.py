@@ -9,13 +9,14 @@ import shutil
 import tempfile
 
 import pytest
-from hypothesis import settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule, run_state_machine_as_test
 
 from beaconlab import bls, slashing
 from beaconlab.errors import (
     InterchangeConflict,
+    InvalidEncoding,
     MalformedDocument,
     UnsupportedVersion,
     WrongChain,
@@ -24,6 +25,7 @@ from beaconlab.errors import (
 ROOT_A = b"\xaa" * 32
 ROOT_B = b"\xbb" * 32
 GENESIS = b"\x11" * 32
+KEY8 = b"08" * 48  # a 48-byte key in the hex of a stored line
 
 
 def att(source, target, root=ROOT_A):
@@ -68,6 +70,11 @@ def test_invalid_epoch_ordering_unconstructible():
         att(5, 5)
     with pytest.raises(ValueError):
         att(6, 5)
+
+
+def test_a_negative_epoch_is_unconstructible_even_below_a_valid_target():
+    with pytest.raises(ValueError, match="non-negative"):
+        att(-1, 5)
 
 
 def test_double_vote_needs_differing_roots():
@@ -196,7 +203,7 @@ def test_every_prefix_of_the_file_opens_with_its_complete_lines(tmp_path, monkey
     records = [att(1, 2), blk(3, ROOT_A), att(2, 4, ROOT_B), att(4, 5)]
     # Each of these is slashable against the record at its index only.
     slashable = [att(1, 2, ROOT_B), blk(3, ROOT_B), att(3, 4), att(4, 5, ROOT_B)]
-    pubkey = b"\x08" * 4
+    pubkey = b"\x08" * 48
     db = _db(tmp_path, "full.jsonl")
     exports = [db.export_interchange()]
     for record in records:
@@ -224,24 +231,28 @@ def test_every_prefix_of_the_file_opens_with_its_complete_lines(tmp_path, monkey
         (b"{}", "KeyError"),
         (b"not json", "JSONDecodeError"),
         (b"[]", "TypeError"),
-        (b'{"kind": "vote", "pubkey": "08", "signing_root": "' + b"aa" * 32 + b'"}', "kind"),
+        (b'{"kind": "vote", "pubkey": "' + KEY8 + b'", "signing_root": "' + b"aa" * 32 + b'"}',
+         "kind"),
         (b'{"kind": "block", "pubkey": "0X", "signing_root": "' + b"aa" * 32 + b'", "slot": 1}',
          "hex"),
-        (b'{"kind": "block", "pubkey": "08", "signing_root": "zz", "slot": 1}', "hex"),
-        (b'{"kind": "block", "pubkey": "08", "signing_root": "' + b"aa" * 32 + b'", "slot": -1}',
-         "non-negative"),
+        (b'{"kind": "block", "pubkey": "' + KEY8 + b'", "signing_root": "zz", "slot": 1}', "hex"),
+        (b'{"kind": "block", "pubkey": "' + KEY8 + b'", "signing_root": "' + b"aa" * 32
+         + b'", "slot": -1}', "non-negative"),
+        (b'{"kind": "block", "pubkey": "08", "signing_root": "' + b"aa" * 32 + b'", "slot": 1}',
+         "48 bytes, got 1"),
     ],
-    ids=["empty-object", "not-json", "list", "unknown-kind", "bad-pubkey", "bad-root", "bad-slot"],
+    ids=["empty-object", "not-json", "list", "unknown-kind", "bad-pubkey", "bad-root", "bad-slot",
+         "short-pubkey"],
 )
 def test_a_malformed_complete_line_is_a_typed_error(tmp_path, line, fault):
     path = tmp_path / "p.jsonl"
     db = slashing.ProtectionDB(path, GENESIS)
-    assert db.check_and_record(b"\x08", att(1, 2))
+    assert db.check_and_record(b"\x08" * 48, att(1, 2))
     with open(path, "ab") as fh:
         fh.write(line + b"\n")
     for fails in (
         lambda: slashing.ProtectionDB(path, GENESIS),
-        lambda: db.check_and_record(b"\x08", att(2, 3)),
+        lambda: db.check_and_record(b"\x08" * 48, att(2, 3)),
     ):
         with pytest.raises(MalformedDocument, match=f"line 2: .*{fault}"):
             fails()
@@ -382,11 +393,63 @@ def _doc(*validators):
     }
 
 
+@pytest.mark.parametrize("field", ["genesis_validators_root", "pubkey", "signing_root"])
+def test_an_interchange_hex_field_needs_its_0x_prefix(tmp_path, field):
+    """Without the prefix check, "00" + hex would import as the bytes after
+    its first two digits."""
+    doc = _doc((b"\x01" * 48, [att(1, 2)]))
+    validator = doc["data"][0]
+    holder = {
+        "genesis_validators_root": doc["metadata"],
+        "pubkey": validator,
+        "signing_root": validator["signed_attestations"][0],
+    }[field]
+    holder[field] = "00" + holder[field][2:]
+    db = _db(tmp_path)
+    with pytest.raises(MalformedDocument, match="0x-prefixed"):
+        db.import_interchange(doc)
+    assert db.export_interchange()["data"] == []
+
+
+@settings(max_examples=30, deadline=None)
+@given(length=st.integers(0, 96))
+@example(length=0)
+@example(length=47)
+@example(length=48)
+@example(length=49)
+@example(length=96)
+def test_only_a_48_byte_key_enters_a_check_an_import_or_a_load(length):
+    """A key of another length would start an empty history that never
+    conflicts with the validator's real one."""
+    pubkey = b"\x0c" * length
+    line = {"kind": "attestation", "pubkey": pubkey.hex(), "signing_root": ROOT_A.hex(),
+            "source_epoch": 1, "target_epoch": 2}
+    with tempfile.TemporaryDirectory() as tmp:
+        check = slashing.ProtectionDB(os.path.join(tmp, "check.jsonl"), GENESIS)
+        imported = slashing.ProtectionDB(os.path.join(tmp, "import.jsonl"), GENESIS)
+        load = os.path.join(tmp, "load.jsonl")
+        with open(load, "w") as fh:
+            fh.write(json.dumps(line) + "\n")
+        if length == slashing.PUBKEY_BYTES:
+            assert check.check_and_record(pubkey, att(1, 2))
+            assert imported.import_interchange(_doc((pubkey, [att(1, 2)])))["imported"] == 1
+            assert _attestation_count(slashing.ProtectionDB(load, GENESIS)) == 1
+            return
+        with pytest.raises(InvalidEncoding, match=f"48 bytes, got {length}"):
+            check.check_and_record(pubkey, att(1, 2))
+        with pytest.raises(MalformedDocument, match=f"48 bytes, got {length}"):
+            imported.import_interchange(_doc((pubkey, [att(1, 2)])))
+        with pytest.raises(MalformedDocument, match=f"line 1: .*48 bytes, got {length}"):
+            slashing.ProtectionDB(load, GENESIS)
+        for db in (check, imported):
+            assert db.export_interchange()["data"] == []
+
+
 # ---------------------------------------------------------------------------
 # Two handles under checks, imports and reopens, against the oracle
 # ---------------------------------------------------------------------------
 
-PUBKEYS = (b"\x0a" * 4, b"\x0b" * 4)
+PUBKEYS = (b"\x0a" * 48, b"\x0b" * 48)
 _roots = st.sampled_from((ROOT_A, ROOT_B))
 _attestations = st.builds(
     lambda s, d, r: att(s, s + d, r), st.integers(0, 5), st.integers(1, 3), _roots

@@ -104,3 +104,25 @@ def test_production_serialization_roundtrip(production):
 def test_production_ciphersuite_names_the_svdw_map(production):
     for dst in (production.dst, production.pop_dst):
         assert b"_XMD:SHA-256_SVDW_RO_POP_" in dst and b"SSWU" not in dst
+
+
+def test_subgroup_checked_flag_follows_the_group_law(toy):
+    """A result is marked checked only when every operand was; one torsion
+    operand makes the sum, the difference or either order unchecked."""
+    g = toy.generator_g2 * 3
+    t = toy.small_order_g2(5)
+    assert g.subgroup_checked and not t.subgroup_checked
+    for elem, checked in [
+        (g + g, True),
+        (g + t, False),
+        (t + g, False),
+        (g - g, True),
+        (g - t, False),
+        (t - g, False),
+        (-g, True),
+        (-t, False),
+        (g * 4, True),
+        (4 * g, True),
+        (t * 4, False),
+    ]:
+        assert elem.subgroup_checked is checked, elem
