@@ -26,14 +26,11 @@ from .suites import Bls12381Suite, ToySuite
 
 REPORT_SCHEMA_VERSION = 1
 DEFAULT_SEED = "01"
+SUITES = {"toy": ToySuite, "bls12-381": Bls12381Suite}
 
 
 def _get_suite(name: str):
-    if name == "toy":
-        return ToySuite()
-    if name == "bls12-381":
-        return Bls12381Suite()
-    raise ValueError(f"unknown suite {name!r}")
+    return SUITES[name]()
 
 
 def _seed_material(seed_hex: str, label: str) -> bytes:
@@ -274,16 +271,13 @@ def _cmd_noise_handshake(args, report):
 
 
 def _cmd_discv5_handshake(args, report):
+    # A completed session has opened nodes-response under the initiator's
+    # r->i key and every transport-i* under the responder's i->r key, so
+    # completion already means that both sides derived the same keys.
     protocol = f"discv5-{args.variant}"
     session = _simnet.run_session(protocol, args.seed, transcript_binding=args.transcript_binding)
-    result = session.extras.get("result")
-    keys_equal = bool(result) and result.initiator_keys == result.responder_keys
-    metrics = {
-        "outcome": session.outcome.status,
-        "session_keys_equal": keys_equal,
-        "transcript": session.transcript.to_json(),
-    }
-    code = 0 if session.outcome.status == "completed" and keys_equal else 1
+    metrics = {"outcome": session.outcome.status, "transcript": session.transcript.to_json()}
+    code = 0 if session.outcome.status == "completed" else 1
     return code, report.finish(session.outcome.status, metrics=metrics)
 
 
@@ -343,13 +337,9 @@ def _cmd_slash_check(args, report):
     db = _open_db(args)
     pubkey = bytes.fromhex(args.pubkey)
     if args.attestation:
-        source, target, root = args.attestation.split(",")
-        record = _slash.AttestationRecord(int(source), int(target), bytes.fromhex(root))
-    elif args.block:
-        slot, root = args.block.split(",")
-        record = _slash.SignedBlockRecord(int(slot), bytes.fromhex(root))
+        record = _slash.AttestationRecord(*_attestation_fields(args.attestation))
     else:
-        raise ValueError("one of --attestation or --block is required")
+        record = _slash.SignedBlockRecord(*_block_fields(args.block))
     decision = db.check_and_record(pubkey, record)
     metrics = {"decision": str(decision)}
     if decision.conflict is not None:
@@ -404,6 +394,34 @@ def _cmd_slash_validate_evidence(args, report):
 # ---------------------------------------------------------------------------
 
 
+def _attestation_fields(text: str):
+    source, target, root = text.split(",")
+    return int(source), int(target), bytes.fromhex(root)
+
+
+def _block_fields(text: str):
+    slot, root = text.split(",")
+    return int(slot), bytes.fromhex(root)
+
+
+def _checked(parse, form: str):
+    """An argparse ``type`` under which a value that ``parse`` cannot read
+    is a usage error; the text itself is kept for the report."""
+
+    def check(text: str) -> str:
+        try:
+            parse(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {form}, got {text!r}") from None
+        return text
+
+    return check
+
+
+_hex = _checked(bytes.fromhex, "hex bytes")
+_hex_int = _checked(lambda text: int(text, 16), "a hex integer")
+
+
 def _role_list(text: str) -> str:
     """Check a comma-separated role list at parse time, so that an unknown
     role is a usage error; the text itself is kept for the report."""
@@ -421,39 +439,45 @@ def _build_parser():
         description="Protocol-security laboratory: signatures, slashing "
         "protection, and handshake analysis.",
     )
-    parser.add_argument("--seed", help="hex seed for all randomness (env LAB_SEED)")
+    parser.add_argument(
+        "--seed",
+        type=_hex,
+        default=os.environ.get("LAB_SEED") or DEFAULT_SEED,
+        help="hex seed for all randomness (env LAB_SEED)",
+    )
     parser.add_argument("--json", action="store_true", help="emit the JSON report")
     parser.add_argument(
         "--no-timestamp", action="store_true", help="omit the timestamp for reproducibility"
     )
-    parser.add_argument(
-        "--suite", choices=["toy", "bls12-381"], default="toy", help="pairing suite"
-    )
-    sub = parser.add_subparsers(dest="group")
+    sub = parser.add_subparsers(dest="group", required=True)
+    # Only the commands that run on a pairing suite take --suite.
+    suite = argparse.ArgumentParser(add_help=False)
+    suite.add_argument("--suite", choices=list(SUITES), default="toy", help="pairing suite")
 
     bls_p = sub.add_parser("bls").add_subparsers(dest="action", required=True)
-    p = bls_p.add_parser("keygen")
-    p.add_argument("--ikm", help="hex key material (defaults to seed-derived)")
+    p = bls_p.add_parser("keygen", parents=[suite])
+    p.add_argument("--ikm", type=_hex, help="hex key material (defaults to seed-derived)")
     p.set_defaults(handler=_cmd_bls_keygen)
-    p = bls_p.add_parser("sign")
-    p.add_argument("--sk", required=True, help="hex secret scalar")
-    p.add_argument("--message", required=True, help="hex message")
+    p = bls_p.add_parser("sign", parents=[suite])
+    p.add_argument("--sk", type=_hex_int, required=True, help="hex secret scalar")
+    p.add_argument("--message", type=_hex, required=True, help="hex message")
     p.set_defaults(handler=_cmd_bls_sign)
-    p = bls_p.add_parser("verify")
-    p.add_argument("--pk", required=True)
-    p.add_argument("--message", required=True)
-    p.add_argument("--signature", required=True)
+    p = bls_p.add_parser("verify", parents=[suite])
+    p.add_argument("--pk", type=_hex, required=True)
+    p.add_argument("--message", type=_hex, required=True)
+    p.add_argument("--signature", type=_hex, required=True)
     p.set_defaults(handler=_cmd_bls_verify)
-    p = bls_p.add_parser("aggregate")
-    p.add_argument("--signature", action="append", required=True)
+    p = bls_p.add_parser("aggregate", parents=[suite])
+    p.add_argument("--signature", type=_hex, action="append", required=True)
     p.set_defaults(handler=_cmd_bls_aggregate)
-    p = bls_p.add_parser("batch-verify")
+    p = bls_p.add_parser("batch-verify", parents=[suite])
     p.add_argument("--file", required=True, help="batch JSON document")
     p.set_defaults(handler=_cmd_bls_batch_verify)
 
     atk = sub.add_parser("attack").add_subparsers(dest="action", required=True)
-    atk.add_parser("rogue-key").set_defaults(handler=_cmd_attack_rogue_key)
-    atk.add_parser("batch-deviation").set_defaults(handler=_cmd_attack_batch_deviation)
+    atk.add_parser("rogue-key", parents=[suite]).set_defaults(handler=_cmd_attack_rogue_key)
+    p = atk.add_parser("batch-deviation", parents=[suite])
+    p.set_defaults(handler=_cmd_attack_batch_deviation)
     p = atk.add_parser("batch-subgroup")
     p.add_argument("--trials", type=int, default=400)
     p.set_defaults(handler=_cmd_attack_batch_subgroup)
@@ -493,15 +517,23 @@ def _build_parser():
         p.add_argument("--db", required=True, help="protection database path")
         p.add_argument(
             "--genesis-root",
+            type=_hex,
             default="00" * 32,
             help="hex genesis validators root (chain identifier)",
         )
 
     p = slash_p.add_parser("check")
     _db_args(p)
-    p.add_argument("--pubkey", required=True)
-    p.add_argument("--attestation", help="source,target,root-hex")
-    p.add_argument("--block", help="slot,root-hex")
+    p.add_argument("--pubkey", type=_hex, required=True)
+    record = p.add_mutually_exclusive_group(required=True)
+    record.add_argument(
+        "--attestation",
+        type=_checked(_attestation_fields, "source,target,root-hex"),
+        help="source,target,root-hex",
+    )
+    record.add_argument(
+        "--block", type=_checked(_block_fields, "slot,root-hex"), help="slot,root-hex"
+    )
     p.set_defaults(handler=_cmd_slash_check)
     p = slash_p.add_parser("export")
     _db_args(p)
@@ -511,7 +543,7 @@ def _build_parser():
     _db_args(p)
     p.add_argument("--file", required=True)
     p.set_defaults(handler=_cmd_slash_import)
-    p = slash_p.add_parser("validate-evidence")
+    p = slash_p.add_parser("validate-evidence", parents=[suite])
     p.add_argument("--file", required=True)
     p.set_defaults(handler=_cmd_slash_validate_evidence)
 
@@ -520,39 +552,17 @@ def _build_parser():
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
-    if not argv:
-        parser.print_usage(sys.stderr)
-        return 2
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
-    if not getattr(args, "handler", None):
-        parser.print_usage(sys.stderr)
-        return 2
-
-    if args.handler is _cmd_attack_batch_subgroup and args.suite != "toy":
-        print(
-            "error: attack batch-subgroup needs the composite-order toy group; "
-            "run it with --suite toy",
-            file=sys.stderr,
-        )
-        return 2
-    args.seed = args.seed or os.environ.get("LAB_SEED") or DEFAULT_SEED
-    try:
-        bytes.fromhex(args.seed)
-    except ValueError:
-        print(f"error: --seed must be hex, got {args.seed!r}", file=sys.stderr)
-        return 2
-
     parameters = {
         k: v
         for k, v in vars(args).items()
         if k not in ("handler", "group", "action", "json", "no_timestamp", "seed")
         and v is not None
     }
-    command = " ".join([args.group, getattr(args, "action", "")]).strip()
+    command = f"{args.group} {args.action}"
     report = Report(command, args.seed, parameters)
     try:
         code, report = args.handler(args, report)

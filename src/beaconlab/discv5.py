@@ -12,9 +12,9 @@ weakness the optional transcript-hash binding closes.
 Each side is a party object: ``_Initiator`` and ``_Responder`` write their
 own packets, and every packet has one reader on their shared base
 ``_Party``. A party knows the public keys by role and reaches private keys
-only through its DH callable, so the forward-secrecy probe runs these same
-readers as a passive ``_Party`` holding only the compromised keys, and the
-replay feeds a recorded packet to a fresh ``_Responder``.
+only through its DH callable, so the probe and the replay run these same
+readers as a passive ``_Party`` holding only the keys they are given; the
+handshake replay feeds a recorded packet to a fresh ``_Responder``.
 """
 
 from __future__ import annotations

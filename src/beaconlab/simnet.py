@@ -7,12 +7,12 @@ compromised private keys, exact amplification accounting, and packet
 replay. Identical (seed, script) pairs produce byte-identical
 transcripts.
 
-The toolkit holds no key schedule of its own: the probe feeds the recorded
-bytes to the protocols' own packet readers (``noise._XXParty``,
-``discv5._Party``) holding only the compromised keys. The replay reads the
-recorded packet too: the discv5 replay feeds it to a fresh
-``discv5._Responder``, and the Noise identity replay presents the identity
-payload an observer ``_XXParty`` reads from it to a fresh responder.
+The toolkit holds no key schedule and no live session of its own: the
+probe and the replay read the recorded bytes through one loop over the
+protocols' own packet readers (``noise._XXParty``, ``discv5._Party``),
+keyed by the compromised keys or, for a replay, by every session key.
+Replayed into its session, each Noise packet is rejected and each discv5
+message packet is ``Accepted``: discv5 keeps no replay window.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ class SimSession:
     outcome: SessionOutcome
     transcript: Transcript
     secrets: dict = field(default_factory=dict)  # role -> X25519 private bytes
-    extras: dict = field(default_factory=dict)  # live objects, not serialized
 
 
 @dataclass
@@ -124,9 +123,8 @@ def run_session(
     else:
         variant = protocol.split("-", 1)[1]
         keys, run = _discv5_session(rng, link, variant, transcript_binding, transport_rounds)
-    extras = {}
     try:
-        extras["result"] = run()
+        run()
         outcome = SessionOutcome("completed")
     except DroppedPacket as exc:
         outcome = SessionOutcome("timeout", f"packet dropped: {exc}")
@@ -138,7 +136,7 @@ def run_session(
         link.finish()
     # Private keys by role; an ephemeral's X25519 seed is its private key.
     secrets = dict(zip(ROLES, keys))
-    return SimSession(protocol, outcome, link.transcript, secrets, extras)
+    return SimSession(protocol, outcome, link.transcript, secrets)
 
 
 def _noise_session(rng, link, mode, responder_padding, transport_rounds):
@@ -171,7 +169,6 @@ def _noise_session(rng, link, mode, responder_padding, transport_rounds):
             ct = result.responder.send.encrypt_with_ad(b"", b"pong-%d" % i)
             ct = link.transfer("r->i", ct, f"transport-r{i}", ("transport",))
             result.initiator.recv.decrypt_with_ad(b"", ct)
-        return result
 
     keys = (
         ini.static.private_bytes(), res.static.private_bytes(),
@@ -193,9 +190,7 @@ def _discv5_session(rng, link, variant, transcript_binding, transport_rounds):
     )
 
     def run():
-        return _d5.run_handshake(
-            a, b, variant=variant, transcript_binding=transcript_binding, link=link
-        )
+        _d5.run_handshake(a, b, variant=variant, transcript_binding=transcript_binding, link=link)
 
     keys = (
         a.identity.static.private_bytes(), b.identity.static.private_bytes(),
@@ -254,11 +249,41 @@ def passive_decrypt_probe(transcript: Transcript, compromise: CompromiseSet) -> 
     (each Noise key chains into the next); every later message reads as
     not decrypted. A discv5 key the set cannot derive seals only the
     packets under it."""
+    _, plaintexts, _ = _read_transcript(transcript, compromise.dh)
+    entries = transcript.entries
+    plaintexts += [None] * (len(entries) - len(plaintexts))
+    return ProbeReport(
+        [
+            ProbeEntry(e.index, e.label, e.direction, e.label not in _CLEARTEXT, p is not None, p)
+            for e, p in zip(entries, plaintexts)
+        ]
+    )
+
+
+def _read_transcript(transcript: Transcript, dh, stop=None):
+    """Read the recorded packets before index ``stop`` in wire order with
+    the protocol's packet readers keyed by ``dh``. Return ``read``, which
+    reads one more packet in the state reached; the plaintexts (None where
+    a packet stays sealed); and the packet that failed to read, with its
+    error, or None."""
     if transcript.protocol == "noise-xx":
-        handshake, read_transport = _noise_readers(compromise)
+        observer = _noise._XXParty(None, True, None, _noise.MAX_NONCE, dh)
+        handshake = [
+            ("xx-msg1", observer.read_message_1),
+            ("xx-msg2", observer.read_message_2),
+            ("xx-msg3", observer.read_message_3),
+        ]
+        ciphers = {}
+
+        def read_transport(data, direction):
+            if not ciphers:  # the handshake has been read: split once
+                session = observer.session()
+                ciphers.update({"i->r": session.send, "r->i": session.recv})
+            return ciphers[direction].decrypt_with_ad(b"", data)
+
     elif transcript.protocol.startswith("discv5-"):
         with parsing("transcript meta"):
-            observer = _d5._Party(transcript.meta, compromise.dh)
+            observer = _d5._Party(transcript.meta, dh)
         handshake = [
             ("findnode-trigger", observer.read_trigger),
             ("whoareyou", observer.read_whoareyou),
@@ -267,45 +292,24 @@ def passive_decrypt_probe(transcript: Transcript, compromise: CompromiseSet) -> 
         ]
         read_transport = observer.read_transport
     else:
-        raise ValueError(f"no probe for protocol {transcript.protocol!r}")
-    report, reading = [], True
-    for entry in transcript.entries:
+        raise ValueError(f"no packet readers for protocol {transcript.protocol!r}")
+
+    def read(entry):
         if entry.index < len(handshake):
-            (label, read), args = handshake[entry.index], (entry.data,)
+            (label, reader), args = handshake[entry.index], (entry.data,)
         else:
-            label, read, args = "transport", read_transport, (entry.data, entry.direction)
-        reading = reading and entry.label.startswith(label)
-        plaintext = None
-        if reading:
-            try:
-                plaintext = read(*args)
-            except WIRE_FAILURES:
-                reading = False
-        report.append(
-            ProbeEntry(
-                entry.index, entry.label, entry.direction, entry.label not in _CLEARTEXT,
-                plaintext is not None, plaintext,
-            )
-        )
-    return ProbeReport(report)
+            label, reader, args = "transport", read_transport, (entry.data, entry.direction)
+        if not entry.label.startswith(label):
+            raise ProtocolViolation(f"packet {entry.index} is not a {label} packet")
+        return reader(*args)
 
-
-def _noise_readers(compromise):
-    observer = _noise._XXParty(None, True, None, _noise.MAX_NONCE, compromise.dh)
-    ciphers = {}
-
-    def read_transport(data, direction):
-        if not ciphers:  # the handshake has been read: split once
-            session = observer.session()
-            ciphers.update({"i->r": session.send, "r->i": session.recv})
-        return ciphers[direction].decrypt_with_ad(b"", data)
-
-    handshake = [
-        ("xx-msg1", observer.read_message_1),
-        ("xx-msg2", observer.read_message_2),
-        ("xx-msg3", observer.read_message_3),
-    ]
-    return handshake, read_transport
+    plaintexts = []
+    for entry in transcript.entries[:stop]:
+        try:
+            plaintexts.append(read(entry))
+        except WIRE_FAILURES as exc:
+            return read, plaintexts, (entry, exc)
+    return read, plaintexts, None
 
 
 # ---------------------------------------------------------------------------
@@ -345,65 +349,41 @@ class ReplayOutcome:
 
 
 def replay_inject(session: SimSession, packet_index: int) -> ReplayOutcome:
-    """Replay a recorded packet against a live or fresh target session.
+    """Replay a recorded packet and report what its receiver makes of it.
 
-    A Noise ``xx-msg2``/``xx-msg3`` of a legacy or hardened session carries
-    its sender's identity proof. The attacker is the sender's former peer,
-    who also stole the sender's static key: it reads the recorded handshake
-    up to that packet with its own keys, and presents the identity payload
-    it finds, under the stolen static key, to a fresh responder. The
-    verdict rests on the recorded bytes and ``session.secrets`` alone.
+    Readers holding every session key read the recorded packets in wire
+    order, then the replayed packet once more; the verdict is what that
+    read gives. A recorded packet that does not read is a rejection that
+    names it. Two packets are read up to and replayed to a fresh victim:
+    the identity payload of a Noise ``xx-msg2``/``xx-msg3`` (legacy or
+    hardened), which the sender's former peer presents under the sender's
+    stolen static key; and a discv5 ``handshake-message``, whose signature
+    covers the old challenge, not the fresh responder's.
     """
-    try:
-        entry = session.transcript.entries[packet_index]
-    except IndexError:
-        raise IndexError(f"transcript has no packet {packet_index}") from None
-
-    if session.protocol == "noise-xx":
-        if entry.label.startswith("transport"):
-            # Same-session replay: the receiving counter already moved past
-            # this nonce, so the AEAD opens against the wrong nonce.
-            result = session.extras["result"]
-            cipher = (
-                result.responder.recv if entry.direction == "i->r" else result.initiator.recv
-            )
-            try:
-                cipher.decrypt_with_ad(b"", entry.data)
-                return ReplayOutcome(True, "")
-            except DecryptFailed:
-                return ReplayOutcome(False, "nonce already consumed")
-        mode = session.transcript.meta.get("mode")
-        if entry.label in ("xx-msg2", "xx-msg3") and mode in ("legacy", "hardened"):
-            victim, peer = "initiator", "responder"
-            if entry.direction == "r->i":
-                victim, peer = peer, victim
-            held = CompromiseSet.of(session, f"{peer}_static", f"{peer}_ephemeral")
-            observer = _noise._XXParty(None, True, None, _noise.MAX_NONCE, held.dh)
-            reads = (observer.read_message_1, observer.read_message_2, observer.read_message_3)
-            try:
-                for packet in session.transcript.entries[: packet_index + 1]:
-                    payload = reads[packet.index](packet.data)
-                attacker = _noise.PeerConfig(
-                    static=_noise.DHKeypair.from_seed(session.secrets[f"{victim}_static"]),
-                    preset_payload=_noise.HandshakePayload.decode(payload),
-                )
-            except WIRE_FAILURES as exc:
-                return ReplayOutcome(False, f"{packet.label}: {exc}")
-            target = _noise.PeerConfig.from_seeds(
-                b"replay-target-static", b"replay-target-identity"
-            )
-            try:
-                _noise.run_xx_handshake(attacker, target, _noise.BindingMode(mode))
-            except HandshakeAborted as exc:
-                return ReplayOutcome(False, f"HandshakeAborted({exc.reason})")
-            return ReplayOutcome(True, "")
-        return ReplayOutcome(False, "handshake messages are session-bound")
-
-    if session.protocol.startswith("discv5-"):
-        if entry.label != "handshake-message":
-            return ReplayOutcome(False, "packet type not replayable")
-        # A fresh responder issues its own WHOAREYOU, then reads the recorded
-        # packet, whose signature covers the old challenge.
+    entries = session.transcript.entries
+    if not 0 <= packet_index < len(entries):
+        raise IndexError(f"transcript has no packet {packet_index}")
+    entry = entries[packet_index]
+    mode = session.transcript.meta.get("mode")
+    identity = entry.label in ("xx-msg2", "xx-msg3") and mode in ("legacy", "hardened")
+    fresh_victim = identity or entry.label == "handshake-message"
+    stop = packet_index + 1 if fresh_victim else None
+    keys = CompromiseSet.full(session)
+    read, plaintexts, failure = _read_transcript(session.transcript, keys.dh, stop)
+    if failure is not None:
+        return ReplayOutcome(False, f"{failure[0].label}: {failure[1]}")
+    if identity:
+        victim = "initiator" if entry.direction == "i->r" else "responder"
+        attacker = _noise.PeerConfig(
+            static=_noise.DHKeypair.from_seed(session.secrets[f"{victim}_static"]),
+            preset_payload=_noise.HandshakePayload.decode(plaintexts[-1]),
+        )
+        target = _noise.PeerConfig.from_seeds(b"replay-target-static", b"replay-target-identity")
+        try:
+            _noise.run_xx_handshake(attacker, target, _noise.BindingMode(mode))
+        except HandshakeAborted as exc:
+            return ReplayOutcome(False, f"HandshakeAborted({exc.reason})")
+    elif fresh_victim:
         fresh = _d5.Discv5Config(_d5.NodeIdentity.from_seed(b"replay-target"), b"replay-target")
         meta = dict(session.transcript.meta, **_d5.identity_meta("responder", fresh.identity))
         target = _d5._Responder(fresh, meta)
@@ -414,6 +394,9 @@ def replay_inject(session: SimSession, packet_index: int) -> ReplayOutcome:
             return ReplayOutcome(
                 False, "stale challenge signature" if exc.reason == "signature" else str(exc)
             )
-        return ReplayOutcome(True, "")
-
-    raise ValueError(f"no replay handler for {session.protocol!r}")
+    else:
+        try:
+            read(entry)
+        except WIRE_FAILURES as exc:
+            return ReplayOutcome(False, f"{type(exc).__name__}({exc})")
+    return ReplayOutcome(True, "")

@@ -263,6 +263,15 @@ def _aggregate(suite, fn, pks, **kwargs):
     return str(fn(pks(pk), messages, bls.sign(sk, b"m1"), **kwargs))
 
 
+def _distinct(suite, fn):
+    # Two distinct keys pass the duplicate-key gate, and the pairing after it.
+    sks = [bls.SecretKey(2, suite), bls.SecretKey(3, suite)]
+    messages = [b"m1", b"m2"] if fn is bls.aggregate_verify else [b"m1", b"m1"]
+    sig = bls.aggregate([bls.sign(sk, m) for sk, m in zip(sks, messages)])
+    signed = messages if fn is bls.aggregate_verify else b"m1"
+    return str(fn([bls.sk_to_pk(sk) for sk in sks], signed, sig, require_distinct_keys=True))
+
+
 def _pop(suite, pk=None, pop=None):
     sk, pk0, _, torsion = _table_setup(suite)
     if pop is None:
@@ -311,6 +320,9 @@ REASON_TABLE = [
         s, bls.unsafe_fast_aggregate_verify, lambda pk: [pk, pk],
         require_distinct_keys=True),
      "INVALID(duplicate-keys)"),
+    ("aggregate-distinct-keys", lambda s: _distinct(s, bls.aggregate_verify), "VALID"),
+    ("unsafe-fast-distinct-keys", lambda s: _distinct(s, bls.unsafe_fast_aggregate_verify),
+     "VALID"),
     ("pop-undecodable", lambda s: _pop(s, pop=b"not a point"), False),
     ("pop-torsion-shifted", lambda s: _pop(s, pop="shifted"), False),
     ("pop-identity-key", lambda s: _pop(s, pk=_BAD_KEY["identity"](s)), False),

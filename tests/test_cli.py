@@ -1,12 +1,13 @@
 """End-to-end runs of the command-line front end via in-process main()."""
 
+import argparse
 import hashlib
 import json
 
 import pytest
 
 from beaconlab import bls, slashing
-from beaconlab.cli import main
+from beaconlab.cli import _build_parser, main
 from beaconlab.suites import ToySuite
 
 
@@ -66,11 +67,99 @@ def test_missing_file_is_usage_error(capsys, tmp_path):
 
 
 def test_batch_subgroup_on_the_real_curve_is_usage_error(capsys):
-    """The demo runs on the composite-order toy group only; a report that
-    said bls12-381 would name a curve on which nothing ran."""
-    code, out, err = run(capsys, "--suite", "bls12-381", "attack", "batch-subgroup")
-    assert code == 2 and out == ""
-    assert "--suite toy" in err and "Traceback" not in err
+    """The demo runs on the composite-order toy group only, so it takes no
+    --suite; a report that said bls12-381 would name a curve on which
+    nothing ran. --suite is an option of the commands that read it, so it
+    is a usage error before the group too."""
+    for argv, error in [
+        (
+            ("--suite", "bls12-381", "attack", "batch-subgroup"),
+            "beaconlab: error: argument group: invalid choice: 'bls12-381' (choose from "
+            "'bls', 'attack', 'noise', 'discv5', 'probe', 'measure', 'slash')",
+        ),
+        (
+            ("attack", "batch-subgroup", "--suite", "bls12-381"),
+            "beaconlab: error: unrecognized arguments: --suite bls12-381",
+        ),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.splitlines()[-1] == error and "Traceback" not in err
+
+
+# A malformed value of each typed option, and the usage error it gives.
+_BLOCK = ("--block", "5," + "cc" * 32)
+BAD_ARGUMENTS = [
+    (("bls", "keygen", "--ikm", "zz"), "--ikm", "hex bytes", "zz"),
+    (("bls", "sign", "--sk", "zz", "--message", "00"), "--sk", "a hex integer", "zz"),
+    (("bls", "sign", "--sk", "3", "--message", "zz"), "--message", "hex bytes", "zz"),
+    (("bls", "verify", "--pk", "zz", "--message", "00", "--signature", "00"),
+     "--pk", "hex bytes", "zz"),
+    (("bls", "verify", "--pk", "00", "--message", "00", "--signature", "zz"),
+     "--signature", "hex bytes", "zz"),
+    (("slash", "check", "--db", "{db}", "--pubkey", "zz", *_BLOCK), "--pubkey", "hex bytes", "zz"),
+    (("slash", "check", "--db", "{db}", "--genesis-root", "zz", "--pubkey", "11" * 48, *_BLOCK),
+     "--genesis-root", "hex bytes", "zz"),
+    (("slash", "check", "--db", "{db}", "--pubkey", "11" * 48, "--attestation", "1,2"),
+     "--attestation", "source,target,root-hex", "1,2"),
+    (("slash", "check", "--db", "{db}", "--pubkey", "11" * 48, "--block", "x"),
+     "--block", "slot,root-hex", "x"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, option, form, value", BAD_ARGUMENTS, ids=[case[1][2:] for case in BAD_ARGUMENTS]
+)
+def test_a_malformed_option_is_a_usage_error(capsys, tmp_path, argv, option, form, value):
+    db = tmp_path / "p.jsonl"
+    code, out, err = run(capsys, *[a.format(db=db) for a in argv])
+    assert code == 2 and out == "" and "Traceback" not in err
+    prog = "beaconlab " + " ".join(argv[:2])
+    expected = f"{prog}: error: argument {option}: expected {form}, got {value!r}"
+    assert err.splitlines()[-1] == expected
+    assert not db.exists()
+
+
+# The commands that run on a pairing suite, and so take --suite.
+SUITE_COMMANDS = {
+    "bls keygen", "bls sign", "bls verify", "bls aggregate", "bls batch-verify",
+    "attack rogue-key", "attack batch-deviation", "slash validate-evidence",
+}
+
+
+def _commands():
+    """Every (group, action) pair of the parser, by walking its subparsers."""
+    def choices(parser):
+        (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        return action.choices.items()
+
+    return [(g, a) for g, group in choices(_build_parser()) for a, _ in choices(group)]
+
+
+def test_only_the_suite_commands_report_a_suite(capsys, tmp_path):
+    """Each command's report carries the suite in its parameters exactly
+    when the command runs on one."""
+    doc = tmp_path / "doc.json"
+    doc.write_text("{}")
+    db = ("--db", str(tmp_path / "p.jsonl"))
+    required = {
+        "bls sign": ("--sk", "3", "--message", "00"),
+        "bls verify": ("--pk", "00", "--message", "00", "--signature", "00"),
+        "bls aggregate": ("--signature", "00"),
+        "bls batch-verify": ("--file", str(doc)),
+        "attack batch-subgroup": ("--trials", "1"),
+        "slash check": (*db, "--pubkey", "11" * 48, *_BLOCK),
+        "slash export": db,
+        "slash import": (*db, "--file", str(doc)),
+        "slash validate-evidence": ("--file", str(doc)),
+    }
+    commands = _commands()
+    assert len(commands) == 17 and set(required) <= {" ".join(c) for c in commands}
+    for group, action in commands:
+        command = f"{group} {action}"
+        code, report = run_json(capsys, group, action, *required.get(command, ()))
+        assert code in (0, 1) and report["command"] == command
+        assert ("suite" in report["parameters"]) == (command in SUITE_COMMANDS), command
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +279,7 @@ def test_batch_verify_of_a_torsion_signature_is_a_report(capsys, tmp_path, produ
     path = tmp_path / "torsion.json"
     path.write_text(json.dumps(doc))
     code, report = run_json(
-        capsys, "--suite", "bls12-381", "bls", "batch-verify", "--file", str(path)
+        capsys, "bls", "batch-verify", "--suite", "bls12-381", "--file", str(path)
     )
     assert code == 1 and report["outcome"] == "rejected"
     assert report["metrics"]["accepted"] is False
@@ -233,8 +322,10 @@ def test_replay_static_sig_report(capsys):
 
 
 def test_replay_static_sig_reports_are_pinned(capsys):
-    """SHA-256 over the reports of seeds 0000-012b. The digest was taken
-    when the command staged the replay without recording a session."""
+    """SHA-256 over the reports of seeds 0000-012b. The digest equals the
+    one taken when the command staged the replay without recording a
+    session, recomputed over those reports without the unused "suite"
+    parameter, which the command no longer takes."""
     digest = hashlib.sha256()
     for seed in range(0x012B + 1):
         code, out, _ = run(
@@ -242,7 +333,7 @@ def test_replay_static_sig_reports_are_pinned(capsys):
         )
         assert code == 0
         digest.update(out.encode())
-    assert digest.hexdigest() == "d68184c0ed9a39503fe13afda48b689372c43e2da1d3b94417c1ff629ee5cbc5"
+    assert digest.hexdigest() == "0b8687b28f72351eb8cfa109a94b14b76bbbcf58c2da666550557c3889090b5e"
 
 
 # ---------------------------------------------------------------------------
@@ -257,10 +348,12 @@ def test_noise_handshake_command(capsys):
 
 
 def test_discv5_handshake_command(capsys):
+    """Completion is the key check: a completed session has opened packets
+    under each side's keys, so the report carries no separate key flag."""
     for variant in ("v5", "kk"):
         code, doc = run_json(capsys, "discv5", "handshake", "--variant", variant)
-        assert code == 0
-        assert doc["metrics"]["session_keys_equal"] is True
+        assert code == 0 and doc["outcome"] == "completed"
+        assert sorted(doc["metrics"]) == ["outcome", "transcript"]
 
 
 def test_probe_contrast_between_variants(capsys):
