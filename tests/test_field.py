@@ -20,6 +20,11 @@ def fermat_inverse(x, field_size):
     return x ** (field_size - 2)
 
 
+def euler_is_square_fq(a):
+    """The definition: a is a square in Fq iff a = 0 or a^((q - 1)/2) = 1."""
+    return a.n == 0 or pow(a.n, (Q - 1) // 2, Q) == 1
+
+
 def euler_is_square_fq2(a):
     """The definition: a is a square in Fq2 iff a = 0 or a^((q^2 - 1)/2) = 1."""
     return a == b.FQ2.zero() or a ** ((Q * Q - 1) // 2) == b.FQ2.one()
@@ -96,6 +101,21 @@ def test_fq12_inverse_is_the_fermat_power(x):
 @example(b.FQ2([1, 1]) * b.FQ2([1, 1]))
 def test_fq2_square_test_is_euler_criterion(a):
     assert b.is_square_fq2(a) == euler_is_square_fq2(a)
+
+
+def _fq_square_test_inputs():
+    # q = 3 mod 4, so -1 is a non-square and -x^2 is one for every x != 0.
+    rnd = random.Random(31)
+    squares = [rnd.randrange(1, Q) ** 2 % Q for _ in range(300)]
+    return [0, 1, Q - 1] + squares + [Q - s for s in squares]
+
+
+def test_fq_square_test_is_euler_criterion():
+    inputs = _fq_square_test_inputs()
+    expected = [euler_is_square_fq(b.FQ(n)) for n in inputs]
+    assert expected[:3] == [True, True, False]
+    assert expected[3:] == [True] * 300 + [False] * 300
+    assert [b.is_square_fq(b.FQ(n)) for n in inputs] == expected
 
 
 @pytest.mark.parametrize(

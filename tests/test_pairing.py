@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from beaconlab import bls
 from beaconlab import bls12381 as b
-from beaconlab.suites import Bls12381Suite
+from beaconlab.suites import BLS_SIG_DST, Bls12381Suite
 
 
 def test_derived_parameters_match_standard_constants():
@@ -409,6 +409,69 @@ def test_final_exponentiation_is_the_full_power():
     zero = b.FQ12.zero()
     assert zero**b._FINAL_EXP == zero
     assert b.FQ12.one() ** b._FINAL_EXP == b.FQ12.one()
+
+
+def _easy_part(f):
+    """f^((q^6 - 1)(q^2 + 1)), the first step of the final exponentiation."""
+    m = f.conjugate() * f.inv()
+    return m.frobenius().frobenius() * m
+
+
+def _is_cyclotomic(m):
+    """m^(q^4 - q^2 + 1) == 1, checked as m^(q^4) m == m^(q^2)."""
+    m2 = m.frobenius().frobenius()
+    return m2.frobenius().frobenius() * m == m2
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        pytest.param(lambda: _easy_part(_random_fq12(4)), id="easy-part-4"),
+        pytest.param(lambda: _easy_part(_random_fq12(5)), id="easy-part-5"),
+        pytest.param(b.FQ12.one, id="one"),
+        pytest.param(lambda: b.pairing(b.G2, b.G1), id="pairing-value"),
+    ],
+)
+def test_cyclotomic_square_is_the_square_in_the_cyclotomic_subgroup(m):
+    m = m()
+    assert _is_cyclotomic(m)
+    assert b._cyclotomic_square(m) == m * m
+
+
+def test_cyclotomic_square_is_wrong_off_the_cyclotomic_subgroup():
+    # Why the hard part may square this way only after the easy part.
+    f = _random_fq12(6)
+    assert not _is_cyclotomic(f)
+    assert b._cyclotomic_square(f) != f * f
+
+
+def test_exact_field_operation_counts(monkeypatch):
+    """Dense Fq12 products in one final exponentiation: 7 in the easy part
+    (5 of them in FQ12.inv); in the hard part 27 for the set bits of
+    (|x| + 1)/3 after the first, 5 for each of the four powers by |x|, 1
+    more for the power by |x| + 1 and 4 combining the powers. The squares
+    of the hard part are cyclotomic and bypass FQ12.__mul__. Fq
+    inversions in one hash_to_g2: 1 in each SvdW map's inv0 and 1 in its
+    square root, 1 adding the two map outputs, 2 in the ladders and 6 in the
+    affine steps of cofactor clearing."""
+    calls = {"mul": 0, "inv": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(b.FQ12, "__mul__", counted("mul", b.FQ12.__mul__))
+    monkeypatch.setattr(b.FQ, "inv", counted("inv", b.FQ.inv))
+    f = b.miller_loop(b.G2, b.G1)
+    calls["mul"] = 0
+    f**b._FINAL_EXP
+    assert calls["mul"] == 59
+    calls["inv"] = 0
+    b.hash_to_g2(b"abc", BLS_SIG_DST)
+    assert calls["inv"] == 13
 
 
 def _pairing_inputs():
