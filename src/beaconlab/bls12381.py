@@ -635,7 +635,7 @@ def _cyclotomic_square(f):
     t = [t0, (t5[0] - t5[1], t5[0] + t5[1]), t2, t1, t4, t3]
     out = [0] * 12
     for k in range(6):
-        two = 2 if k % 2 else -2  # the conjugates negate a_0, a_2 and a_4
+        two = 2 if k % 2 else -2  # -2 conj(A), +2 conj(B) and -2 conj(C)
         re, im = 3 * t[k][0] + two * a[k][0], 3 * t[k][1] + two * a[k][1]
         out[k], out[k + 6] = re - im, im  # re + im u = (re - im) w^k + im w^(k+6)
     return FQ12(out)
